@@ -119,14 +119,6 @@ def _apply_config(ctx: click.Context, values: dict) -> dict:
     return out
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        return os.cpu_count() or 1
-    if threads < 1:
-        raise InvalidInputError("--threads must be at least 1")
-    return threads
-
-
 def _require(value, flag: str):
     if value is None:
         raise InvalidInputError(f"missing required option {flag}")
@@ -272,9 +264,6 @@ def quiver_options(f):
 
 
 def common_options(f):
-    f = click.option("--threads", type=int, default=None,
-                     help="Cap worker threads for batched kernels; results "
-                          "do not depend on it.")(f)
     f = click.option("--config", type=click.Path(dir_okay=False), default=None,
                      help="JSON file with the same keys as the flags; "
                           "flags win.")(f)
@@ -296,10 +285,9 @@ def cli():
 @quiver_options
 @common_options
 @click.pass_context
-def cmd_quiver_info(ctx, preset, quiver_file, sink, fmt, config, threads):
+def cmd_quiver_info(ctx, preset, quiver_file, sink, fmt, config):
     """Print the graph class and, for affine quivers, delta and defects."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     gc = classify_graph(Q)
     affine = is_affine(Q)
@@ -333,10 +321,9 @@ def cmd_quiver_info(ctx, preset, quiver_file, sink, fmt, config, threads):
 @quiver_options
 @common_options
 @click.pass_context
-def cmd_roots(ctx, bound, preset, quiver_file, sink, fmt, config, threads):
+def cmd_roots(ctx, bound, preset, quiver_file, sink, fmt, config):
     """List positive real roots inside a coordinate box."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     if _require(v["bound"], "--bound") < 1:
         raise InvalidInputError("--bound must be at least 1")
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
@@ -373,15 +360,13 @@ def cmd_roots(ctx, bound, preset, quiver_file, sink, fmt, config, threads):
 @quiver_options
 @common_options
 @click.pass_context
-def cmd_build(ctx, module, field_q, preset, quiver_file, sink, fmt, config,
-              threads):
+def cmd_build(ctx, module, field_q, preset, quiver_file, sink, fmt, config):
     """Build one module and print its matrices.
 
     MODULE is one of: simple:<i>, proj:<i>, inj:<i>, prep:<x1,..,xn>,
     prei:<x1,..,xn>, homog:<k> (vertices 1-indexed).
     """
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     F = field(_require(v["field_q"], "--field"))
     M = build_module(Q, F, v["module"])
@@ -405,10 +390,9 @@ def cmd_build(ctx, module, field_q, preset, quiver_file, sink, fmt, config,
 @common_options
 @click.pass_context
 def cmd_reflect(ctx, module, vertex, minus, field_q, preset, quiver_file, sink,
-                fmt, config, threads):
+                fmt, config):
     """Apply one reflection to MODULE and print the result."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     F = field(_require(v["field_q"], "--field"))
     M = build_module(Q, F, v["module"])
@@ -434,10 +418,9 @@ def cmd_reflect(ctx, module, vertex, minus, field_q, preset, quiver_file, sink,
 @common_options
 @click.pass_context
 def cmd_tau(ctx, module, minus, field_q, preset, quiver_file, sink, fmt,
-            config, threads):
+            config):
     """Apply the translate (full reflection sweep) to MODULE."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     F = field(_require(v["field_q"], "--field"))
     M = build_module(Q, F, v["module"])
@@ -464,11 +447,10 @@ def cmd_tau(ctx, module, minus, field_q, preset, quiver_file, sink, fmt,
 @common_options
 @click.pass_context
 def cmd_hall_number(ctx, module_m, module_n1, module_n2, field_q, budget,
-                    preset, quiver_file, sink, fmt, config, threads):
+                    preset, quiver_file, sink, fmt, config):
     """Count submodules of MODULE_M isomorphic to MODULE_N2 with quotient
     MODULE_N1."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     if v["budget"] < 1:
         raise InvalidInputError("--budget must be at least 1")
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
@@ -492,10 +474,9 @@ def cmd_hall_number(ctx, module_m, module_n1, module_n2, field_q, budget,
 @quiver_options
 @common_options
 @click.pass_context
-def cmd_hall_poly(ctx, root, preset, quiver_file, sink, fmt, config, threads):
+def cmd_hall_poly(ctx, root, preset, quiver_file, sink, fmt, config):
     """Interpolate the count polynomial attached to a real root."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     x = _parse_dimvec(_require(v["root"], "--root"), Q.n)
     _progress(f"sampling counts for root {v['root']}")
@@ -514,11 +495,10 @@ def cmd_hall_poly(ctx, root, preset, quiver_file, sink, fmt, config, threads):
 @quiver_options
 @common_options
 @click.pass_context
-def cmd_hall_table(ctx, preset, quiver_file, sink, fmt, config, threads):
+def cmd_hall_table(ctx, preset, quiver_file, sink, fmt, config):
     """Compute the count polynomial for each multiplicity in delta and
     validate the result against the pinned table."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     rows = hall_table(Q, progress=_progress)
     mismatches = table_mismatches(rows)
@@ -551,10 +531,9 @@ def cmd_hall_table(ctx, preset, quiver_file, sink, fmt, config, threads):
 @common_options
 @click.pass_context
 def cmd_gr_measure(ctx, module, field_q, budget, preset, quiver_file, sink,
-                   fmt, config, threads):
+                   fmt, config):
     """Print the chain measure of MODULE."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     if v["budget"] < 1:
         raise InvalidInputError("--budget must be at least 1")
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
@@ -575,13 +554,11 @@ def cmd_gr_measure(ctx, module, field_q, budget, preset, quiver_file, sink,
 @quiver_options
 @common_options
 @click.pass_context
-def cmd_gr_check(ctx, field_q, preset, quiver_file, sink, fmt, config,
-                 threads):
+def cmd_gr_check(ctx, field_q, preset, quiver_file, sink, fmt, config):
     """Verify the defect picture for one homogeneous module: chain
     submodule of defect -1, preinjective quotient of defect 1, and the
     (0,0,0,2) hom/ext pattern of the pair."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     F = field(_require(v["field_q"], "--field"))
     _progress(f"checking homogeneous module over GF({F.q})")
@@ -608,10 +585,9 @@ def cmd_gr_check(ctx, field_q, preset, quiver_file, sink, fmt, config,
 @click.option("--l", "l", type=int, default=None, help="Degree l.")
 @common_options
 @click.pass_context
-def cmd_necklace(ctx, q, l, fmt, config, threads):
+def cmd_necklace(ctx, q, l, fmt, config):
     """Count monic irreducible polynomials of degree l over GF(q)."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     value = necklace_count(_require(v["q"], "--q"), _require(v["l"], "--l"))
     if v["fmt"] == "json":
         _emit_json({"schema": SCHEMA_VERSION, "command": "necklace",
@@ -668,10 +644,9 @@ def _dynkin_oracle_checks(q: int) -> list[dict]:
               help="Field size; repeatable.  Default: 2 3 4.")
 @common_options
 @click.pass_context
-def cmd_oracle_dynkin(ctx, field_q, fmt, config, threads):
+def cmd_oracle_dynkin(ctx, field_q, fmt, config):
     """Run the brute-force submodule-count suite on small Dynkin quivers."""
     v = _apply_config(ctx, locals())
-    _resolve_threads(v["threads"])
     fields = tuple(v["field_q"]) or (2, 3, 4)
     checks = []
     for q in fields:

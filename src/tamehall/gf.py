@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InfeasibleEnumerationError, InvalidInputError
+from .errors import InfeasibleEnumerationError, InternalInconsistencyError, InvalidInputError
 
 MAX_Q = 256
 
@@ -204,15 +204,19 @@ class Field:
         a = np.arange(q).reshape(q, 1, 1)
         b = np.arange(q).reshape(1, q, 1)
         c = np.arange(q).reshape(1, 1, q)
-        assert np.array_equal(self.add(a, b), self.add(b, a))
-        assert np.array_equal(self.mul(a, b), self.mul(b, a))
-        assert np.array_equal(self.add(self.add(a, b), c), self.add(a, self.add(b, c)))
-        assert np.array_equal(self.mul(self.mul(a, b), c), self.mul(a, self.mul(b, c)))
-        assert np.array_equal(self.mul(a, self.add(b, c)), self.add(self.mul(a, b), self.mul(a, c)))
         els = np.arange(q)
-        assert np.array_equal(self.add(els, self.neg(els)), np.zeros(q, dtype=np.int64))
         nz = els[1:]
-        assert np.array_equal(self.mul(nz, self.inv(nz)), np.ones(q - 1, dtype=np.int64))
+        pairs = (
+            (self.add(a, b), self.add(b, a)),
+            (self.mul(a, b), self.mul(b, a)),
+            (self.add(self.add(a, b), c), self.add(a, self.add(b, c))),
+            (self.mul(self.mul(a, b), c), self.mul(a, self.mul(b, c))),
+            (self.mul(a, self.add(b, c)), self.add(self.mul(a, b), self.mul(a, c))),
+            (self.add(els, self.neg(els)), np.zeros(q, dtype=np.int64)),
+            (self.mul(nz, self.inv(nz)), np.ones(q - 1, dtype=np.int64)),
+        )
+        if not all(np.array_equal(lhs, rhs) for lhs, rhs in pairs):
+            raise InternalInconsistencyError(f"GF({q}) tables break a field axiom")
 
     # -- element-wise operations ----------------------------------------
 
@@ -402,7 +406,8 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     for i in range(d):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalInconsistencyError(f"Gaussian binomial [{n} {d}]_{q} is not an integer")
     return num // den
 
 

@@ -45,8 +45,8 @@ from .reps import (
     hom_basis,
     hom_combination,
     hom_dim,
+    injective_classes,
     is_brick,
-    is_injective_morphism,
     is_isomorphic,
     morphism_image,
     simple_rep,
@@ -105,23 +105,9 @@ def starts_with(I, J) -> bool:
 # -- monomorphism scans -------------------------------------------------
 
 
-def _normalized_coeffs(q: int, h: int):
-    """One coefficient vector per scalar class of nonzero vectors."""
-    for lead in range(h):
-        for tail in itertools.product(range(q), repeat=h - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def _mono_classes(X: Rep, Y: Rep):
     """Yield (phi, coeffs) for every scalar class of monomorphisms X -> Y."""
-    F = X.field
-    basis = hom_basis(X, Y)
-    if not basis:
-        return
-    for coeffs in _normalized_coeffs(F.q, len(basis)):
-        phi = hom_combination(F, basis, np.array(coeffs, dtype=np.int64))
-        if is_injective_morphism(F, X, phi):
-            yield phi, coeffs
+    return injective_classes(X.field, X, hom_basis(X, Y))
 
 
 def _mono_exists(X: Rep, Y: Rep) -> bool:
@@ -235,8 +221,8 @@ def is_indecomposable(M: Rep, budget: int = 2_000_000) -> bool:
 
 def _rep_measure(M: Rep, budget: int) -> Measure:
     sig = _probe_signature(M)
-    for stored, rep, value in _REP_MEMO.get(sig, ()):  # stored == sig always
-        if is_isomorphic(rep, M):
+    for rep, value in _REP_MEMO.get(sig, ()):
+        if is_isomorphic(rep, M, budget):
             return value
     best: Measure = ()
     own = is_indecomposable(M)
@@ -257,7 +243,7 @@ def _rep_measure(M: Rep, budget: int) -> Measure:
             raise InternalInconsistencyError(
                 "nonzero decomposable module with no indecomposable submodule")
         out = best
-    _REP_MEMO.setdefault(sig, []).append((sig, M, out))
+    _REP_MEMO.setdefault(sig, []).append((M, out))
     return out
 
 
@@ -357,28 +343,14 @@ def count_submodules_report(X: Rep, Y: Rep, budget: int = 2_000_000) -> Submodul
         raise InfeasibleEnumerationError(
             "hom or endomorphism space too large to enumerate",
             needed=max(q ** h, q ** e), budget=budget)
-    basis = hom_basis(X, Y)
-    sing = 0
-    for coeffs in itertools.product(range(q), repeat=h):
-        if not any(coeffs):
-            sing += 1
-            continue
-        phi = hom_combination(F, basis, np.array(coeffs, dtype=np.int64))
-        if not is_injective_morphism(F, X, phi):
-            sing += 1
+    # A nonzero vector is non-injective exactly when its whole scalar class
+    # is, so each count is q^dim less (q - 1) per injective class.
+    sing = q ** h - (q - 1) * sum(1 for _ in injective_classes(F, X, hom_basis(X, Y), budget))
     s = _log_q(sing, q)
     if is_brick(X):
         r = 0
     else:
-        ebasis = hom_basis(X, X)
-        bad = 0
-        for coeffs in itertools.product(range(q), repeat=e):
-            if not any(coeffs):
-                bad += 1
-                continue
-            phi = hom_combination(F, ebasis, np.array(coeffs, dtype=np.int64))
-            if not is_injective_morphism(F, X, phi):
-                bad += 1
+        bad = q ** e - (q - 1) * sum(1 for _ in injective_classes(F, X, hom_basis(X, X), budget))
         r = _log_q(bad, q)
         if r is None:
             raise InternalInconsistencyError(

@@ -33,6 +33,7 @@ from .reps import (
     hom_basis,
     is_isomorphic,
     quotient_rep,
+    scalar_class_blocks,
     sub_rep,
 )
 
@@ -130,29 +131,6 @@ def _check_sink_instance(R: Rep, i: int) -> tuple[int, ...]:
     return delta
 
 
-def _normalized_blocks(F: Field, h: int, cap: int = 65536):
-    """Yield coefficient blocks (B, h), one row per projective class.
-
-    Rows have their first nonzero coordinate equal to 1; every class of
-    nonzero coefficient vectors up to scalar appears exactly once.
-    """
-    q = F.q
-    for lead in range(h):
-        tail = h - lead - 1
-        base = np.zeros((1, h), dtype=np.int64)
-        base[0, lead] = 1
-        if tail == 0:
-            yield base
-            continue
-        tails = np.indices((q,) * tail).reshape(tail, -1).T
-        for start in range(0, tails.shape[0], cap):
-            chunk = tails[start:start + cap]
-            block = np.zeros((chunk.shape[0], h), dtype=np.int64)
-            block[:, lead] = 1
-            block[:, lead + 1:] = chunk
-            yield block
-
-
 def _combine_batch(F: Field, coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Linear combinations of a (h, a, b) matrix stack: out[n] = sum_k coeffs[n,k] * stack[k]."""
     if F.is_prime:
@@ -188,7 +166,7 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     order.sort(key=lambda j: (expected[j], delta[j], j))
     stacks = {j: np.stack([phi[j] for phi in basis]) for j in order}
     total = 0
-    for block in _normalized_blocks(F, h):
+    for block in scalar_class_blocks(F.q, h):
         alive = np.ones(block.shape[0], dtype=bool)
         for j in order:
             live = np.flatnonzero(alive)
@@ -249,6 +227,11 @@ def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...],
 
 def interpolate(points, degree_cap: int, verification=()) -> HallPolynomial:
     """Exact polynomial through the sample points.
+
+    That the counts are polynomial in q at all is Hubery's theorem on Hall
+    polynomials for affine quivers (Hubery, "Hall polynomials for affine
+    quivers", Represent. Theory 14, 2010); the held-out fields check it on
+    each instance.
 
     Hard failures: repeated fields, fewer than degree_cap + 1 points,
     non-integer coefficients, degree above the cap, or disagreement at a

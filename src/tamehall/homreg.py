@@ -85,12 +85,8 @@ def build_homogeneous_simples(Q: Quiver, F: Field) -> list[tuple[str, Rep]]:
     out = []
     lines = [(str(lam), (1, lam)) for lam in range(F.q)] + [("inf", (0, 1))]
     for label, coeffs in lines:
-        cocycle = _combine_cocycles(F, ext.cocycles, coeffs)
+        cocycle = hom_combination(F, ext.cocycles, coeffs)
         E = middle_term(P, I, cocycle)
         if is_simple_homogeneous(E):
             out.append((label, E))
     return out
-
-
-def _combine_cocycles(F: Field, cocycles, coeffs):
-    return hom_combination(F, cocycles, coeffs)

@@ -9,7 +9,6 @@ cached per quiver.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -100,9 +99,6 @@ class Quiver:
 
     def sources(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.is_source(v))
-
-    def edge_multiplicity(self, u: int, v: int) -> int:
-        return sum(1 for s, t in self.arrows if {s, t} == {u, v})
 
     def underlying_edges(self) -> tuple[tuple[int, int], ...]:
         """Undirected edge multiset, endpoints sorted."""

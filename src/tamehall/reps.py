@@ -241,7 +241,46 @@ def hom_combination(F: Field, basis: list[tuple[np.ndarray, ...]],
 
 
 def is_injective_morphism(F: Field, M: Rep, phi: tuple[np.ndarray, ...]) -> bool:
-    return all(rank(F, phi[j]) == M.dims[j] for j in range(M.quiver.n))
+    return all(rank(F, phi[j]) == d for j, d in enumerate(M.dims) if d)
+
+
+# Rows per block, which bounds the memory of one batched evaluation.
+_BLOCK_ROWS = 65536
+
+
+def scalar_class_blocks(q: int, h: int):
+    """Yield coefficient blocks (B, h), one row per scalar class of nonzero
+    vectors in GF(q)^h.
+
+    Rows have their first nonzero coordinate equal to 1, and come in
+    lexicographic order: by the position of that 1, then by the tail.
+    """
+    for lead in range(h):
+        tail = h - lead - 1
+        tails = np.indices((q,) * tail).reshape(tail, q ** tail).T
+        for start in range(0, tails.shape[0], _BLOCK_ROWS):
+            chunk = tails[start:start + _BLOCK_ROWS]
+            block = np.zeros((chunk.shape[0], h), dtype=np.int64)
+            block[:, lead] = 1
+            block[:, lead + 1:] = chunk
+            yield block
+
+
+def injective_classes(F: Field, X: Rep, basis: list[tuple[np.ndarray, ...]],
+                      budget: int = 2_000_000):
+    """Yield (phi, coeffs) for every scalar class of combinations of the
+    Hom(X, -) basis that is injective at every vertex, one class at a time.
+    The budget on the number of classes is checked before any work."""
+    h = len(basis)
+    classes = (F.q ** h - 1) // (F.q - 1)
+    if classes > budget:
+        raise InfeasibleEnumerationError(
+            f"monomorphism scan over about {classes} classes", needed=classes, budget=budget)
+    for block in scalar_class_blocks(F.q, h):
+        for coeffs in block:
+            phi = hom_combination(F, basis, coeffs)
+            if is_injective_morphism(F, X, phi):
+                yield phi, coeffs
 
 
 def morphism_image(F: Field, phi: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -264,56 +303,28 @@ class ExtSpace:
 
 def ext_space(N: Rep, M: Rep) -> ExtSpace:
     """Extensions 0 -> M -> E -> N -> 0, with explicit representatives for
-    a basis of the classes."""
+    a basis of the classes.
+
+    The differential sends (phi_j) in the sum of Hom(N_j, M_j) to
+    (M_a phi_s - phi_t N_a) in the sum over arrows of Hom(N_s, M_t); it is
+    the matrix of the Hom(N, M) system, and Ext is its cokernel."""
     if M.quiver != N.quiver or M.field != N.field:
         raise InvalidInputError("Ext needs a common quiver and field")
     Q, F = M.quiver, M.field
-    c0 = sum(M.dims[j] * N.dims[j] for j in range(Q.n))
-    aoffs = []
-    c1 = 0
-    for s, t in Q.arrows:
-        aoffs.append(c1)
-        c1 += M.dims[t] * N.dims[s]
-    # differential C0 -> C1, columns = vec(phi_j), rows = vec(f_a)
-    D = F.zeros(c1, c0)
-    voffs = []
-    tot = 0
-    for j in range(Q.n):
-        voffs.append(tot)
-        tot += M.dims[j] * N.dims[j]
-    for a, (s, t) in enumerate(Q.arrows):
-        m_t, n_s = M.dims[t], N.dims[s]
-        rows = m_t * n_s
-        if not rows:
-            continue
-        # (M_a phi_s)[r, c]: coefficient of phi_s[k, c] is M_a[r, k]
-        if M.dims[s]:
-            blk = np.zeros((m_t, n_s, M.dims[s], n_s), dtype=np.int64)
-            idx = np.arange(n_s)
-            blk[:, idx, :, idx] = M.mats[a][None, :, :]
-            D[aoffs[a]:aoffs[a] + rows, voffs[s]:voffs[s] + M.dims[s] * n_s] = \
-                blk.reshape(rows, M.dims[s] * n_s)
-        # -(phi_t N_a)[r, c]: coefficient of phi_t[r, k] is -N_a[k, c]
-        if N.dims[t]:
-            blk = np.zeros((m_t, n_s, m_t, N.dims[t]), dtype=np.int64)
-            idx = np.arange(m_t)
-            blk[idx, :, idx, :] = F.neg(N.mats[a]).T[None, :, :]
-            D[aoffs[a]:aoffs[a] + rows, voffs[t]:voffs[t] + m_t * N.dims[t]] = \
-                blk.reshape(rows, m_t * N.dims[t])
-    image, piv = rref(F, D.T.copy())
-    image = image[:len(piv)]
+    D, _ = _hom_system(N, M)
+    c1 = D.shape[0]
+    _, piv = rref(F, D.T.copy())
     dim = c1 - len(piv)
+    shapes = [(M.dims[t], N.dims[s]) for s, t in Q.arrows]
+    cuts = list(itertools.accumulate(m * n for m, n in shapes))[:-1]
     pivset = set(piv)
     cocycles = []
     for col in range(c1):
         if col not in pivset:
             vec = F.zeros(c1)
             vec[col] = 1
-            fa = []
-            for a, (s, t) in enumerate(Q.arrows):
-                m_t, n_s = M.dims[t], N.dims[s]
-                fa.append(vec[aoffs[a]:aoffs[a] + m_t * n_s].reshape(m_t, n_s))
-            cocycles.append(tuple(fa))
+            cocycles.append(tuple(part.reshape(shape)
+                                  for part, shape in zip(np.split(vec, cuts), shapes)))
     if len(cocycles) != dim:
         raise InternalInconsistencyError("extension basis size mismatch")
     return ExtSpace(dim=dim, cocycles=cocycles)
@@ -405,13 +416,6 @@ def quotient_rep(M: Rep, spaces) -> Rep:
     return Rep(Q, F, dims, tuple(mats))
 
 
-def subrep_count_budget(M: Rep) -> int:
-    total = 1
-    for d in M.dims:
-        total *= sum(gaussian_binomial(d, k, M.field.q) for k in range(d + 1))
-    return total
-
-
 def enumerate_subreps(M: Rep, budget: int = 2_000_000, dims=None):
     """Yield every subrepresentation of M as a tuple of per-vertex reduced
     row bases.  With `dims`, restrict to that dimension vector.
@@ -467,30 +471,15 @@ def enumerate_subreps(M: Rep, budget: int = 2_000_000, dims=None):
 
 
 def is_isomorphic(M: Rep, N: Rep, budget: int = 2_000_000) -> bool:
-    """Exact isomorphism test: scan normalized coefficient vectors of
-    Hom(M, N) for one that is invertible at every vertex."""
+    """Exact isomorphism test: scan the scalar classes of Hom(M, N) for one
+    that is invertible at every vertex."""
     if M.quiver != N.quiver or M.field != N.field:
         return False
     if M.dims != N.dims:
         return False
     if M.total_dim == 0:
         return True
-    F = M.field
     basis = hom_basis(M, N)
-    h = len(basis)
-    if h == 0:
+    if not basis or hom_dim(N, M) != len(basis):
         return False
-    if hom_dim(N, M) != h:
-        return False
-    classes = (F.q ** h - 1) // (F.q - 1)
-    if classes > budget:
-        raise InfeasibleEnumerationError(
-            f"isomorphism scan over about {classes} classes", needed=classes, budget=budget)
-    nz = [j for j in range(M.quiver.n) if M.dims[j]]
-    for lead in range(h):
-        for tail in itertools.product(range(F.q), repeat=h - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            phi = hom_combination(F, basis, coeffs)
-            if all(rank(F, phi[j]) == M.dims[j] for j in nz):
-                return True
-    return False
+    return next(injective_classes(M.field, M, basis, budget), None) is not None

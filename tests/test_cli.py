@@ -327,15 +327,6 @@ def test_missing_option_after_config_merge(capsys):
     assert "--field" in err
 
 
-def test_threads_validation(capsys):
-    rc, out, _ = run(capsys, "necklace", "--q", "2", "--l", "2",
-                     "--threads", "2")
-    assert rc == 0
-    assert out == "1\n"
-    assert run(capsys, "necklace", "--q", "2", "--l", "2",
-               "--threads", "0")[0] == 3
-
-
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "gr-check", "--preset", "dtilde:4", "--field", "3",
                 "--format", "json")

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tamehall
 from tamehall.errors import InfeasibleEnumerationError, InvalidInputError
 from tamehall.gf import (
     Field,
@@ -82,6 +87,28 @@ def test_invalid_orders_rejected():
         Field(257)
     with pytest.raises(InvalidInputError):
         Field(1)
+
+
+_CORRUPT_TABLE = """
+from tamehall.errors import InternalInconsistencyError
+from tamehall.gf import Field
+if __debug__:
+    print("not optimised")
+F = Field(4)
+F._mul_table[2, 3] = 0
+try:
+    F._check_axioms()
+except InternalInconsistencyError:
+    print("raised")
+"""
+
+
+def test_corrupt_field_table_raises_under_optimisation():
+    src = str(Path(tamehall.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised\n"
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)

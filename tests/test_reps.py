@@ -16,6 +16,7 @@ from tamehall.reps import (
     hom_basis,
     hom_combination,
     hom_dim,
+    injective_classes,
     injective_rep,
     is_brick,
     is_injective_morphism,
@@ -33,6 +34,8 @@ from tamehall.reps import (
 
 K = preset_quiver("kronecker")
 A2 = preset_quiver("a:2")
+AFFINE_PRESETS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde",
+                  "e8tilde")
 
 
 def r_lambda(F, lam):
@@ -277,16 +280,51 @@ def test_ext_space_kronecker_regular_family():
     assert end_dim(E0) == 2
 
 
+def _simples_projectives_injectives(Q, F):
+    return [make(Q, F, i) for make in (simple_rep, projective_rep, injective_rep)
+            for i in range(Q.n)]
+
+
 def test_ext_dim_agrees_with_defect_of_euler_form():
     for q in (2, 3):
         F = field(q)
-        for name in ["kronecker", "dtilde:4"]:
+        for name in AFFINE_PRESETS:
             Q = preset_quiver(name)
-            for i in range(Q.n):
-                for j in range(Q.n):
-                    Si, Sj = simple_rep(Q, F, i), simple_rep(Q, F, j)
-                    got = ext_space(Si, Sj).dim
-                    assert got == hom_dim(Si, Sj) - euler_form(Q, Si.dims, Sj.dims)
+            mods = _simples_projectives_injectives(Q, F)
+            for X in mods:
+                for Y in mods:
+                    got = ext_space(X, Y).dim
+                    assert got == hom_dim(X, Y) - euler_form(Q, X.dims, Y.dims), (name, q)
+
+
+def test_injective_classes_count_every_injective_vector_once():
+    Q = preset_quiver("dtilde:4")
+    for q in (2, 3):
+        F = field(q)
+        mods = _simples_projectives_injectives(Q, F)
+        checked = 0
+        for X in mods:
+            for Y in mods:
+                basis = hom_basis(X, Y)
+                if not basis:
+                    continue
+                brute = sum(
+                    1 for coeffs in itertools.product(range(q), repeat=len(basis))
+                    if any(coeffs) and is_injective_morphism(
+                        F, X, hom_combination(F, basis, coeffs)))
+                classes = sum(1 for _ in injective_classes(F, X, basis))
+                assert classes * (q - 1) == brute, (X.dims, Y.dims, q)
+                checked += brute > 0
+        assert checked
+
+
+def test_injective_classes_checks_budget_before_work():
+    F = field(3)
+    Y = direct_sum(simple_rep(K, F, 1), simple_rep(K, F, 1))
+    basis = hom_basis(simple_rep(K, F, 1), Y)
+    with pytest.raises(InfeasibleEnumerationError) as err:
+        next(injective_classes(F, simple_rep(K, F, 1), basis, budget=3))
+    assert err.value.needed == 4
 
 
 # ---------------------------------------------------------------- subreps
