@@ -76,13 +76,19 @@ def _styled(text: str, ok: bool) -> str:
     return click.style(text, fg="green" if ok else "red")
 
 
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+def _words(values) -> str:
+    return " ".join(str(x) for x in values)
+
+
+def _arrow_words(arrows) -> str:
+    """Render 1-indexed [s, t] pairs as `s->t` words."""
+    return " ".join(f"{s}->{t}" for s, t in arrows)
 
 
 def _apply_config(ctx: click.Context, values: dict) -> dict:
     """Fill in options from the JSON config file, but only where the
-    command line left the default in place."""
+    command line left the default in place.  A null value keeps the
+    option's default."""
     path = values.get("config")
     if not path:
         return values
@@ -106,16 +112,19 @@ def _apply_config(ctx: click.Context, values: dict) -> dict:
         if param is None or param.name == "config" or param.name not in out:
             raise InvalidInputError(
                 f"config key {key!r} is not an option of this command")
-        if ctx.get_parameter_source(param.name) is not click.core.ParameterSource.DEFAULT:
+        if raw is None or (ctx.get_parameter_source(param.name)
+                           is not click.core.ParameterSource.DEFAULT):
             continue
-        if param.multiple:
-            items = raw if isinstance(raw, list) else [raw]
-            out[param.name] = tuple(param.type.convert(v, param, ctx)
-                                    for v in items)
-        elif raw is None:
-            out[param.name] = None
-        else:
-            out[param.name] = param.type.convert(raw, param, ctx)
+        try:
+            if param.multiple:
+                items = raw if isinstance(raw, list) else [raw]
+                out[param.name] = tuple(param.type.convert(v, param, ctx)
+                                        for v in items)
+            else:
+                out[param.name] = param.type.convert(raw, param, ctx)
+        except TypeError:
+            raise InvalidInputError(
+                f"config key {key!r} has a value of the wrong type")
     return out
 
 
@@ -203,27 +212,6 @@ def build_module(Q, F, descriptor: str) -> Rep:
     raise InvalidInputError(f"unknown module kind {kind!r} ({MODULE_FORMS})")
 
 
-def _module_lines(label: str, M: Rep) -> list[str]:
-    Q = M.quiver
-    out = [f"module: {label}",
-           f"field: GF({M.field.q})",
-           "dims: " + " ".join(str(d) for d in M.dims),
-           f"length: {M.total_dim}"]
-    if is_affine(Q):
-        out.append(f"defect: {defect(Q, M.dims)}")
-    out.append(f"end dim: {end_dim(M)}")
-    out.append("arrows: " + " ".join(f"{s + 1}->{t + 1}" for s, t in Q.arrows))
-    for a, (s, t) in enumerate(Q.arrows):
-        A = M.mats[a]
-        out.append(f"arrow {s + 1}->{t + 1}:")
-        if A.size == 0:
-            out.append(f"  (empty {A.shape[0]}x{A.shape[1]})")
-        else:
-            for row in A:
-                out.append("  " + " ".join(str(int(v)) for v in row))
-    return out
-
-
 def _module_json(M: Rep) -> dict:
     Q = M.quiver
     out = {
@@ -239,6 +227,26 @@ def _module_json(M: Rep) -> dict:
     return out
 
 
+def _module_lines(label: str, m: dict) -> list[str]:
+    """Text form of a `_module_json` payload."""
+    out = [f"module: {label}",
+           f"field: GF({m['field']})",
+           "dims: " + _words(m["dims"]),
+           f"length: {m['length']}"]
+    if "defect" in m:
+        out.append(f"defect: {m['defect']}")
+    out.append(f"end dim: {m['end_dim']}")
+    out.append("arrows: " + _arrow_words(m["arrows"]))
+    for (s, t), rows in zip(m["arrows"], m["mats"]):
+        out.append(f"arrow {s}->{t}:")
+        shape = (m["dims"][t - 1], m["dims"][s - 1])
+        if 0 in shape:
+            out.append(f"  (empty {shape[0]}x{shape[1]})")
+        else:
+            out.extend("  " + _words(row) for row in rows)
+    return out
+
+
 def _poly_json(poly) -> dict:
     return {
         "poly": poly.format(),
@@ -249,27 +257,7 @@ def _poly_json(poly) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shared option decorators
-
-
-def quiver_options(f):
-    f = click.option("--sink", type=int, default=None,
-                     help="Reorient a tree preset toward this vertex (1-indexed).")(f)
-    f = click.option("--quiver-file", "quiver_file",
-                     type=click.Path(dir_okay=False), default=None,
-                     help="Quiver description file (vertices/arrow lines).")(f)
-    f = click.option("--preset", default=None,
-                     help="Named quiver, e.g. kronecker, dtilde:4, e8tilde, a:3.")(f)
-    return f
-
-
-def common_options(f):
-    f = click.option("--config", type=click.Path(dir_okay=False), default=None,
-                     help="JSON file with the same keys as the flags; "
-                          "flags win.")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                     default="text", help="Output format.")(f)
-    return f
+# the command runner
 
 
 @click.group()
@@ -277,323 +265,249 @@ def cli():
     """Exact computations for representations of tame quivers over GF(q)."""
 
 
+QUIVER_PARAMS = (
+    click.Option(["--preset"], default=None,
+                 help="Named quiver, e.g. kronecker, dtilde:4, e8tilde, a:3."),
+    click.Option(["--quiver-file", "quiver_file"],
+                 type=click.Path(dir_okay=False), default=None,
+                 help="Quiver description file (vertices/arrow lines)."),
+    click.Option(["--sink"], type=int, default=None,
+                 help="Reorient a tree preset toward this vertex (1-indexed)."),
+)
+
+COMMON_PARAMS = (
+    click.Option(["--format", "fmt"], type=click.Choice(["text", "json"]),
+                 default="text", help="Output format."),
+    click.Option(["--config"], type=click.Path(dir_okay=False), default=None,
+                 help="JSON file with the same keys as the flags; flags win."),
+)
+
+MODULE = click.Argument(["module"])
+FIELD = click.Option(["--field", "field_q"], type=int, default=None,
+                     help="Field size q (prime power).")
+
+
+def command(name: str, *params: click.Parameter, quiver: bool = True):
+    """Register the decorated body as subcommand NAME with PARAMS, the
+    quiver options (unless `quiver` is false) and --format/--config.
+
+    The runner merges the config file, checks --budget, resolves the
+    quiver and, when the command has a single --field, the field, then
+    calls body(values, Q, F) -> (payload, text lines, failure or None).
+    It writes the payload as JSON or the lines as text, and only then
+    raises VerificationError for a failure, so a failed check still
+    prints its result and exits 4.
+    """
+    params = params + (QUIVER_PARAMS if quiver else ()) + COMMON_PARAMS
+    single_field = any(p.name == "field_q" and not p.multiple for p in params)
+
+    def register(body):
+        def run(**values):
+            v = _apply_config(click.get_current_context(), values)
+            if "budget" in v and v["budget"] < 1:
+                raise InvalidInputError("--budget must be at least 1")
+            Q = (_resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
+                 if quiver else None)
+            F = field(_require(v["field_q"], "--field")) if single_field else None
+            payload, lines, failure = body(v, Q, F)
+            if v["fmt"] == "json":
+                click.echo(json.dumps({"schema": SCHEMA_VERSION, "command": name,
+                                       **payload}, indent=2))
+            else:
+                for line in lines:
+                    click.echo(line)
+            if failure:
+                raise VerificationError(failure)
+
+        cli.command(name, params=list(params), help=body.__doc__)(run)
+        return body
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-@cli.command("quiver-info")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_quiver_info(ctx, preset, quiver_file, sink, fmt, config):
+@command("quiver-info")
+def cmd_quiver_info(v, Q, F):
     """Print the graph class and, for affine quivers, delta and defects."""
-    v = _apply_config(ctx, locals())
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     gc = classify_graph(Q)
     affine = is_affine(Q)
     delta = radical_delta(Q) if affine else None
     defects = ([defect(Q, tuple(1 if j == i else 0 for j in range(Q.n)))
                 for i in range(Q.n)] if affine else None)
-    if v["fmt"] == "json":
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "quiver-info",
-            "symbol": gc.symbol,
-            "vertices": Q.n,
-            "arrows": [[s + 1, t + 1] for s, t in Q.arrows],
-            "affine": affine,
-            "delta": list(delta) if delta else None,
-            "simple_defects": defects,
-        })
-        return
-    click.echo(f"symbol: {gc.symbol}")
-    click.echo(f"vertices: {Q.n}")
-    click.echo("arrows: " + " ".join(f"{s + 1}->{t + 1}" for s, t in Q.arrows))
-    click.echo(f"affine: {'yes' if affine else 'no'}")
+    payload = {
+        "symbol": gc.symbol,
+        "vertices": Q.n,
+        "arrows": [[s + 1, t + 1] for s, t in Q.arrows],
+        "affine": affine,
+        "delta": list(delta) if delta else None,
+        "simple_defects": defects,
+    }
+    lines = [f"symbol: {gc.symbol}",
+             f"vertices: {Q.n}",
+             "arrows: " + _arrow_words(payload["arrows"]),
+             f"affine: {'yes' if affine else 'no'}"]
     if affine:
-        click.echo("delta: " + " ".join(str(d) for d in delta))
-        click.echo("simple defects: " + " ".join(str(d) for d in defects))
+        lines += ["delta: " + _words(delta), "simple defects: " + _words(defects)]
+    return payload, lines, None
 
 
-@cli.command("roots")
-@click.option("--bound", type=int, default=None,
-              help="List roots with every coordinate at most this bound.")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_roots(ctx, bound, preset, quiver_file, sink, fmt, config):
+@command("roots", click.Option(
+    ["--bound"], type=int, default=None,
+    help="List roots with every coordinate at most this bound."))
+def cmd_roots(v, Q, F):
     """List positive real roots inside a coordinate box."""
-    v = _apply_config(ctx, locals())
     if _require(v["bound"], "--bound") < 1:
         raise InvalidInputError("--bound must be at least 1")
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     affine = is_affine(Q)
-    roots = sorted(positive_real_roots(Q, (v["bound"],) * Q.n),
-                   key=lambda x: (sum(x), x))
-    if v["fmt"] == "json":
-        items = []
-        for x in roots:
-            item = {"dims": list(x), "length": sum(x)}
-            if affine:
-                item["defect"] = defect(Q, x)
-            items.append(item)
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "roots",
-            "bound": v["bound"],
-            "count": len(roots),
-            "roots": items,
-        })
-        return
-    for x in roots:
-        line = ",".join(str(c) for c in x) + f"  length={sum(x)}"
+    items = []
+    for x in sorted(positive_real_roots(Q, (v["bound"],) * Q.n),
+                    key=lambda x: (sum(x), x)):
+        item = {"dims": list(x), "length": sum(x)}
         if affine:
-            line += f" defect={defect(Q, x)}"
-        click.echo(line)
-    click.echo(f"total: {len(roots)}")
+            item["defect"] = defect(Q, x)
+        items.append(item)
+    lines = [",".join(str(c) for c in r["dims"]) + f"  length={r['length']}"
+             + (f" defect={r['defect']}" if affine else "") for r in items]
+    lines.append(f"total: {len(items)}")
+    return {"bound": v["bound"], "count": len(items), "roots": items}, lines, None
 
 
-@cli.command("build")
-@click.argument("module")
-@click.option("--field", "field_q", type=int, default=None,
-              help="Field size q (prime power).")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_build(ctx, module, field_q, preset, quiver_file, sink, fmt, config):
+@command("build", MODULE, FIELD)
+def cmd_build(v, Q, F):
     """Build one module and print its matrices.
 
     MODULE is one of: simple:<i>, proj:<i>, inj:<i>, prep:<x1,..,xn>,
     prei:<x1,..,xn>, homog:<k> (vertices 1-indexed).
     """
-    v = _apply_config(ctx, locals())
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
-    F = field(_require(v["field_q"], "--field"))
-    M = build_module(Q, F, v["module"])
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "build",
-                    "module": v["module"], **_module_json(M)})
-        return
-    for line in _module_lines(v["module"], M):
-        click.echo(line)
+    m = {"module": v["module"], **_module_json(build_module(Q, F, v["module"]))}
+    return m, _module_lines(v["module"], m), None
 
 
-@cli.command("reflect")
-@click.argument("module")
-@click.option("--vertex", type=int, default=None,
-              help="Reflection vertex (1-indexed); a sink, or a source with --minus.")
-@click.option("--minus", is_flag=True, default=False,
-              help="Apply the source reflection instead of the sink one.")
-@click.option("--field", "field_q", type=int, default=None,
-              help="Field size q (prime power).")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_reflect(ctx, module, vertex, minus, field_q, preset, quiver_file, sink,
-                fmt, config):
+@command("reflect", MODULE,
+         click.Option(["--vertex"], type=int, default=None,
+                      help="Reflection vertex (1-indexed); a sink, or a source "
+                           "with --minus."),
+         click.Option(["--minus"], is_flag=True, default=False,
+                      help="Apply the source reflection instead of the sink one."),
+         FIELD)
+def cmd_reflect(v, Q, F):
     """Apply one reflection to MODULE and print the result."""
-    v = _apply_config(ctx, locals())
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
-    F = field(_require(v["field_q"], "--field"))
     M = build_module(Q, F, v["module"])
     i = _parse_vertex(str(_require(v["vertex"], "--vertex")), Q.n)
     N = reflect_minus(M, i) if v["minus"] else reflect_plus(M, i)
     label = f"reflect{'-' if v['minus'] else '+'}@{v['vertex']} {v['module']}"
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "reflect",
-                    "module": v["module"], "vertex": v["vertex"],
-                    "minus": bool(v["minus"]), **_module_json(N)})
-        return
-    for line in _module_lines(label, N):
-        click.echo(line)
+    m = {"module": v["module"], "vertex": v["vertex"], "minus": bool(v["minus"]),
+         **_module_json(N)}
+    return m, _module_lines(label, m), None
 
 
-@cli.command("tau")
-@click.argument("module")
-@click.option("--minus", is_flag=True, default=False,
-              help="Apply the inverse translate instead.")
-@click.option("--field", "field_q", type=int, default=None,
-              help="Field size q (prime power).")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_tau(ctx, module, minus, field_q, preset, quiver_file, sink, fmt,
-            config):
+@command("tau", MODULE,
+         click.Option(["--minus"], is_flag=True, default=False,
+                      help="Apply the inverse translate instead."),
+         FIELD)
+def cmd_tau(v, Q, F):
     """Apply the translate (full reflection sweep) to MODULE."""
-    v = _apply_config(ctx, locals())
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
-    F = field(_require(v["field_q"], "--field"))
     M = build_module(Q, F, v["module"])
     N = tau_minus(M) if v["minus"] else tau(M)
     label = f"tau{'-' if v['minus'] else ''} {v['module']}"
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "tau",
-                    "module": v["module"], "minus": bool(v["minus"]),
-                    **_module_json(N)})
-        return
-    for line in _module_lines(label, N):
-        click.echo(line)
+    m = {"module": v["module"], "minus": bool(v["minus"]), **_module_json(N)}
+    return m, _module_lines(label, m), None
 
 
-@cli.command("hall-number")
-@click.argument("module_m")
-@click.argument("module_n1")
-@click.argument("module_n2")
-@click.option("--field", "field_q", type=int, default=None,
-              help="Field size q (prime power).")
-@click.option("--budget", type=int, default=2_000_000,
-              help="Cap on the subspace enumeration size.")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_hall_number(ctx, module_m, module_n1, module_n2, field_q, budget,
-                    preset, quiver_file, sink, fmt, config):
+@command("hall-number", click.Argument(["module_m"]), click.Argument(["module_n1"]),
+         click.Argument(["module_n2"]), FIELD,
+         click.Option(["--budget"], type=int, default=2_000_000,
+                      help="Cap on the subspace enumeration size."))
+def cmd_hall_number(v, Q, F):
     """Count submodules of MODULE_M isomorphic to MODULE_N2 with quotient
     MODULE_N1."""
-    v = _apply_config(ctx, locals())
-    if v["budget"] < 1:
-        raise InvalidInputError("--budget must be at least 1")
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
-    F = field(_require(v["field_q"], "--field"))
     M = build_module(Q, F, v["module_m"])
     N1 = build_module(Q, F, v["module_n1"])
     N2 = build_module(Q, F, v["module_n2"])
     value = hall_number(M, N1, N2, budget=v["budget"])
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "hall-number",
-                    "field": F.q, "module": v["module_m"],
-                    "quotient": v["module_n1"], "submodule": v["module_n2"],
-                    "value": value})
-        return
-    click.echo(str(value))
+    return ({"field": F.q, "module": v["module_m"], "quotient": v["module_n1"],
+             "submodule": v["module_n2"], "value": value}, [str(value)], None)
 
 
-@cli.command("hall-poly")
-@click.option("--root", default=None,
-              help="Dimension vector x1,..,xn of a negative-defect real root.")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_hall_poly(ctx, root, preset, quiver_file, sink, fmt, config):
+@command("hall-poly", click.Option(
+    ["--root"], default=None,
+    help="Dimension vector x1,..,xn of a negative-defect real root."))
+def cmd_hall_poly(v, Q, F):
     """Interpolate the count polynomial attached to a real root."""
-    v = _apply_config(ctx, locals())
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     x = _parse_dimvec(_require(v["root"], "--root"), Q.n)
     _progress(f"sampling counts for root {v['root']}")
-    poly = hall_poly_for_root(Q, x)
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "hall-poly",
-                    "root": list(x), **_poly_json(poly)})
-        return
-    click.echo(f"f(q) = {poly.format()}")
-    click.echo("coeffs ascending: " + " ".join(str(c) for c in poly.coeffs))
-    click.echo("samples: " + " ".join(f"q={q}:{c}" for q, c in poly.samples))
-    click.echo("verified at: " + " ".join(str(q) for q in poly.verified_at))
+    p = _poly_json(hall_poly_for_root(Q, x))
+    lines = [f"f(q) = {p['poly']}",
+             "coeffs ascending: " + _words(p["coeffs"]),
+             "samples: " + " ".join(f"q={q}:{c}" for q, c in p["samples"]),
+             "verified at: " + _words(p["verified_at"])]
+    return {"root": list(x), **p}, lines, None
 
 
-@cli.command("hall-table")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_hall_table(ctx, preset, quiver_file, sink, fmt, config):
+@command("hall-table")
+def cmd_hall_table(v, Q, F):
     """Compute the count polynomial for each multiplicity in delta and
     validate the result against the pinned table."""
-    v = _apply_config(ctx, locals())
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
     rows = hall_table(Q, progress=_progress)
     mismatches = table_mismatches(rows)
-    if v["fmt"] == "json":
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "hall-table",
-            "rows": [{"multiplicity": r.multiplicity, "vertex": r.vertex + 1,
-                      **_poly_json(r.poly)} for r in rows],
-            "pinned_check": "fail" if mismatches else "pass",
-            "mismatches": mismatches,
-        })
-    else:
-        for r in rows:
-            click.echo(f"m={r.multiplicity} vertex={r.vertex + 1} "
-                       f"f_{r.multiplicity}(q) = {r.poly.format()}")
-        word = _styled("FAIL", False) if mismatches else _styled("PASS", True)
-        click.echo(f"table check: {word} ({len(rows)} rows)")
-    if mismatches:
-        raise VerificationError("pinned table mismatch: " + "; ".join(mismatches))
+    payload = {
+        "rows": [{"multiplicity": r.multiplicity, "vertex": r.vertex + 1,
+                  **_poly_json(r.poly)} for r in rows],
+        "pinned_check": "fail" if mismatches else "pass",
+        "mismatches": mismatches,
+    }
+    lines = [f"m={r.multiplicity} vertex={r.vertex + 1} "
+             f"f_{r.multiplicity}(q) = {r.poly.format()}" for r in rows]
+    word = _styled("FAIL", False) if mismatches else _styled("PASS", True)
+    lines.append(f"table check: {word} ({len(rows)} rows)")
+    failure = ("pinned table mismatch: " + "; ".join(mismatches)
+               if mismatches else None)
+    return payload, lines, failure
 
 
-@cli.command("gr-measure")
-@click.argument("module")
-@click.option("--field", "field_q", type=int, default=None,
-              help="Field size q (prime power).")
-@click.option("--budget", type=int, default=2_000_000,
-              help="Cap on the submodule enumeration size.")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_gr_measure(ctx, module, field_q, budget, preset, quiver_file, sink,
-                   fmt, config):
+@command("gr-measure", MODULE, FIELD,
+         click.Option(["--budget"], type=int, default=2_000_000,
+                      help="Cap on the submodule enumeration size."))
+def cmd_gr_measure(v, Q, F):
     """Print the chain measure of MODULE."""
-    v = _apply_config(ctx, locals())
-    if v["budget"] < 1:
-        raise InvalidInputError("--budget must be at least 1")
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
-    F = field(_require(v["field_q"], "--field"))
-    M = build_module(Q, F, v["module"])
-    measure = gr_measure(M, budget=v["budget"])
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "gr-measure",
-                    "field": F.q, "module": v["module"],
-                    "measure": list(measure)})
-        return
-    click.echo("measure: " + " ".join(str(m) for m in measure))
+    measure = gr_measure(build_module(Q, F, v["module"]), budget=v["budget"])
+    return ({"field": F.q, "module": v["module"], "measure": list(measure)},
+            ["measure: " + _words(measure)], None)
 
 
-@cli.command("gr-check")
-@click.option("--field", "field_q", type=int, default=None,
-              help="Field size q (3..5).")
-@quiver_options
-@common_options
-@click.pass_context
-def cmd_gr_check(ctx, field_q, preset, quiver_file, sink, fmt, config):
+@command("gr-check", click.Option(["--field", "field_q"], type=int, default=None,
+                                  help="Field size q (3..5)."))
+def cmd_gr_check(v, Q, F):
     """Verify the defect picture for one homogeneous module: chain
     submodule of defect -1, preinjective quotient of defect 1, and the
     (0,0,0,2) hom/ext pattern of the pair."""
-    v = _apply_config(ctx, locals())
-    Q = _resolve_quiver(v["preset"], v["quiver_file"], v["sink"])
-    F = field(_require(v["field_q"], "--field"))
     _progress(f"checking homogeneous module over GF({F.q})")
     report = verify_main_theorem(Q, F)
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "gr-check",
-                    "field": F.q, **report.to_json(), "check": "pass"})
-        return
-    click.echo("module dims: " + " ".join(str(d) for d in report.module.dims)
-               + f" over GF({F.q})")
-    click.echo("measure: " + " ".join(str(m) for m in report.measure))
-    click.echo("gr submodule: dims "
-               + " ".join(str(d) for d in report.gr_submodule.dims)
-               + f" defect {report.submodule_defect}")
-    click.echo("quotient: dims " + " ".join(str(d) for d in report.quotient_dims)
-               + f" defect {report.quotient_defect}")
-    click.echo(f"pair: hom_qp={report.hom_qp} hom_pq={report.hom_pq} "
-               f"ext_pq={report.ext_pq} ext_qp={report.ext_qp}")
-    click.echo(f"check: {_styled('PASS', True)}")
+    lines = [
+        "module dims: " + _words(report.module.dims) + f" over GF({F.q})",
+        "measure: " + _words(report.measure),
+        "gr submodule: dims " + _words(report.gr_submodule.dims)
+        + f" defect {report.submodule_defect}",
+        "quotient: dims " + _words(report.quotient_dims)
+        + f" defect {report.quotient_defect}",
+        f"pair: hom_qp={report.hom_qp} hom_pq={report.hom_pq} "
+        f"ext_pq={report.ext_pq} ext_qp={report.ext_qp}",
+        f"check: {_styled('PASS', True)}",
+    ]
+    return {"field": F.q, **report.to_json(), "check": "pass"}, lines, None
 
 
-@cli.command("necklace")
-@click.option("--q", "q", type=int, default=None, help="Field size q.")
-@click.option("--l", "l", type=int, default=None, help="Degree l.")
-@common_options
-@click.pass_context
-def cmd_necklace(ctx, q, l, fmt, config):
+@command("necklace",
+         click.Option(["--q", "q"], type=int, default=None, help="Field size q."),
+         click.Option(["--l", "l"], type=int, default=None, help="Degree l."),
+         quiver=False)
+def cmd_necklace(v, Q, F):
     """Count monic irreducible polynomials of degree l over GF(q)."""
-    v = _apply_config(ctx, locals())
     value = necklace_count(_require(v["q"], "--q"), _require(v["l"], "--l"))
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "necklace",
-                    "q": v["q"], "l": v["l"], "value": value})
-        return
-    click.echo(str(value))
+    return {"q": v["q"], "l": v["l"], "value": value}, [str(value)], None
 
 
 def _dynkin_oracle_checks(q: int) -> list[dict]:
@@ -639,37 +553,30 @@ def _dynkin_oracle_checks(q: int) -> list[dict]:
     return out
 
 
-@cli.command("oracle-dynkin")
-@click.option("--field", "field_q", type=int, multiple=True,
-              help="Field size; repeatable.  Default: 2 3 4.")
-@common_options
-@click.pass_context
-def cmd_oracle_dynkin(ctx, field_q, fmt, config):
+@command("oracle-dynkin",
+         click.Option(["--field", "field_q"], type=int, multiple=True,
+                      help="Field size; repeatable.  Default: 2 3 4."),
+         quiver=False)
+def cmd_oracle_dynkin(v, Q, F):
     """Run the brute-force submodule-count suite on small Dynkin quivers."""
-    v = _apply_config(ctx, locals())
     fields = tuple(v["field_q"]) or (2, 3, 4)
     checks = []
     for q in fields:
         _progress(f"oracle checks over GF({q})")
         checks.extend(_dynkin_oracle_checks(q))
     failures = [c for c in checks if not c["ok"]]
-    if v["fmt"] == "json":
-        _emit_json({"schema": SCHEMA_VERSION, "command": "oracle-dynkin",
-                    "fields": list(fields), "checks": checks,
-                    "failures": len(failures)})
-    else:
-        for c in checks:
-            word = _styled("PASS", True) if c["ok"] else _styled("FAIL", False)
-            line = f"{word} {c['name']} (q={c['q']}): {c['got']}"
-            if not c["ok"]:
-                line += f" expected {c['expected']}"
-            click.echo(line)
-        click.echo(f"oracle suite: {len(checks)} checks, "
-                   f"{len(failures)} failures")
-    if failures:
-        raise VerificationError(
-            f"{len(failures)} oracle checks failed, first: "
-            f"{failures[0]['name']} (q={failures[0]['q']})")
+    lines = []
+    for c in checks:
+        word = _styled("PASS", True) if c["ok"] else _styled("FAIL", False)
+        line = f"{word} {c['name']} (q={c['q']}): {c['got']}"
+        if not c["ok"]:
+            line += f" expected {c['expected']}"
+        lines.append(line)
+    lines.append(f"oracle suite: {len(checks)} checks, {len(failures)} failures")
+    failure = (f"{len(failures)} oracle checks failed, first: "
+               f"{failures[0]['name']} (q={failures[0]['q']})" if failures else None)
+    return ({"fields": list(fields), "checks": checks, "failures": len(failures)},
+            lines, failure)
 
 
 # ---------------------------------------------------------------------------

@@ -137,23 +137,9 @@ def _preproj_roots_inside(Q: Quiver, box) -> list:
 def _root_measure(Q: Quiver, F: Field, x) -> Measure:
     """Measure of the preprojective indecomposable with root x."""
     key = (Q, F.q, tuple(x))
-    if key in _ROOT_MEASURE_MEMO:
-        return _ROOT_MEASURE_MEMO[key]
-    M = _root_module(Q, F, x)
-    best: Measure = ()
-    for d in _preproj_roots_inside(Q, x):
-        if tuple(d) == tuple(x):
-            continue
-        if hom_dim(_root_module(Q, F, d), M) == 0:
-            continue
-        if not _mono_exists(_root_module(Q, F, d), M):
-            continue
-        m = _root_measure(Q, F, d)
-        if not best or measure_less(best, m):
-            best = m
-    out = best + (sum(x),)
-    _ROOT_MEASURE_MEMO[key] = out
-    return out
+    if key not in _ROOT_MEASURE_MEMO:
+        _ROOT_MEASURE_MEMO[key] = _measure_over_roots(_root_module(Q, F, x))
+    return _ROOT_MEASURE_MEMO[key]
 
 
 def _measure_over_roots(M: Rep) -> Measure:
@@ -337,7 +323,8 @@ def count_submodules_report(X: Rep, Y: Rep, budget: int = 2_000_000) -> Submodul
         raise InvalidInputError("count report needs indecomposable modules")
     F = X.field
     q = F.q
-    h = hom_dim(X, Y)
+    basis = hom_basis(X, Y)
+    h = len(basis)
     e = end_dim(X)
     if q ** h > budget or q ** e > budget:
         raise InfeasibleEnumerationError(
@@ -345,9 +332,9 @@ def count_submodules_report(X: Rep, Y: Rep, budget: int = 2_000_000) -> Submodul
             needed=max(q ** h, q ** e), budget=budget)
     # A nonzero vector is non-injective exactly when its whole scalar class
     # is, so each count is q^dim less (q - 1) per injective class.
-    sing = q ** h - (q - 1) * sum(1 for _ in injective_classes(F, X, hom_basis(X, Y), budget))
+    sing = q ** h - (q - 1) * sum(1 for _ in injective_classes(F, X, basis, budget))
     s = _log_q(sing, q)
-    if is_brick(X):
+    if e == 1:
         r = 0
     else:
         bad = q ** e - (q - 1) * sum(1 for _ in injective_classes(F, X, hom_basis(X, X), budget))

@@ -327,6 +327,78 @@ def test_missing_option_after_config_merge(capsys):
     assert "--field" in err
 
 
+@pytest.mark.parametrize("args, key", [
+    (("gr-measure", "homog:1", "--preset", "dtilde:4", "--field", "3"), "budget"),
+    (("oracle-dynkin",), "field"),
+    (("necklace", "--q", "3", "--l", "2"), "format"),
+    (("build", "simple:1", "--preset", "kronecker", "--field", "3"), "sink"),
+])
+def test_config_null_keeps_default(tmp_path, capsys, args, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    assert run(capsys, *args, "--config", str(cfg)) == run(capsys, *args)
+
+
+@pytest.mark.parametrize("value", [[1], {"a": 1}, [None]])
+def test_config_value_of_wrong_type_exits_three(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": value}))
+    rc, _, err = run(capsys, "gr-measure", "homog:1", "--preset", "dtilde:4",
+                     "--field", "3", "--config", str(cfg))
+    assert rc == 3
+    assert "budget" in err
+    cfg.write_text(json.dumps({"field": value}))
+    assert run(capsys, "oracle-dynkin", "--config", str(cfg))[0] == 3
+
+
+KRONECKER_FILE = "vertices 2\narrow 1 2\narrow 1 2\n"
+
+# Every subcommand with every option it takes except --format and --config.
+CONFIG_CASES = [
+    ("quiver-info", (), {"quiver-file": None}),
+    ("roots", (), {"bound": 2, "preset": "dtilde:4", "sink": 1}),
+    ("build", ("prep:1,1,2,1,0",), {"field": 3, "preset": "dtilde:4", "sink": 3}),
+    ("reflect", ("simple:1",), {"vertex": 1, "minus": True, "field": 3,
+                                "preset": "dtilde:4", "sink": 3}),
+    ("tau", ("prep:0,0,1,0,1",), {"minus": True, "field": 3,
+                                  "preset": "dtilde:4", "sink": 3}),
+    ("hall-number", ("homog:1", "simple:5", "prep:1,1,2,1,0"),
+     {"field": 5, "budget": 1000, "preset": "dtilde:4", "sink": 3}),
+    ("hall-poly", (), {"root": "0,0,1,0,0", "preset": "dtilde:4", "sink": 3}),
+    ("hall-table", (), {"preset": "dtilde:4", "sink": 3}),
+    ("gr-measure", ("homog:1",), {"field": 3, "budget": 1000,
+                                  "preset": "dtilde:4", "sink": 3}),
+    ("gr-check", (), {"field": 3, "preset": "dtilde:4", "sink": 3}),
+    ("necklace", (), {"q": 4, "l": 3}),
+    ("oracle-dynkin", (), {"field": [2, 3]}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, arguments, options", CONFIG_CASES,
+                         ids=[c[0] for c in CONFIG_CASES])
+def test_config_file_matches_flags(tmp_path, capsys, command, arguments,
+                                   options, fmt):
+    quiver_file = tmp_path / "kron.quiver"
+    quiver_file.write_text(KRONECKER_FILE)
+    options = {k: str(quiver_file) if k == "quiver-file" else v
+               for k, v in options.items()}
+    flags = []
+    for key, value in options.items():
+        if value is True:
+            flags.append(f"--{key}")
+        else:
+            for item in value if isinstance(value, list) else [value]:
+                flags += [f"--{key}", str(item)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options))
+    rc, out, _ = run(capsys, command, *arguments, *flags, "--format", fmt)
+    rc2, out2, _ = run(capsys, command, *arguments, "--config", str(cfg),
+                       "--format", fmt)
+    assert rc == 0
+    assert (rc2, out2) == (rc, out)
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "gr-check", "--preset", "dtilde:4", "--field", "3",
                 "--format", "json")
