@@ -65,8 +65,7 @@ def reflect_minus(N: Rep, i: int) -> Rep:
     for a in out:
         t = Q.arrows[a][1]
         S[offs[a]:offs[a] + N.dims[t], :] = N.mats[a]
-    U, piv = rref(F, S.T.copy())
-    U = U[:len(piv)]
+    U, _ = rref(F, S.T.copy())
     proj, _ = quotient_map(F, U, total)
     newdim = proj.shape[0]
     dims = tuple(newdim if j == i else N.dims[j] for j in range(Q.n))

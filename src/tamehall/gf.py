@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -36,17 +37,14 @@ IRREDUCIBLE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise InvalidInputError(f"field order must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise InvalidInputError(f"{q} is not a prime power")
-            return p, k
-    raise InvalidInputError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise InvalidInputError(f"{q} is not a prime power")
+    return p, k
 
 
 def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -127,8 +125,8 @@ class Field:
             self._build_tables()
         else:
             self.poly = None
-        # exp/log for inversion and order checks
-        self._build_power_tables()
+            self._inv_table = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)],
+                                       dtype=np.int64)
         if q <= 16:
             self._check_axioms()
 
@@ -172,32 +170,6 @@ class Field:
             row = mul[a]
             inv[a] = int(np.nonzero(row == 1)[0][0])
         self._inv_table = inv
-
-    def _build_power_tables(self) -> None:
-        q = self.q
-        # smallest generator of the multiplicative group
-        for g in range(2, q) if q > 2 else [1]:
-            seen = set()
-            x = 1
-            for _ in range(q - 1):
-                x = int(self.mul(x, g))
-                seen.add(x)
-            if len(seen) == q - 1:
-                break
-        self.generator = g if q > 2 else 1
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = int(self.mul(x, self.generator))
-        self._exp_table = exp
-        self._log_table = log
-        if self.is_prime:
-            inv = np.zeros(q, dtype=np.int64)
-            inv[1:] = self._exp_table[(-self._log_table[1:]) % (q - 1)]
-            self._inv_table = inv
 
     def _check_axioms(self) -> None:
         q = self.q
@@ -258,9 +230,6 @@ class Field:
         for k in range(A.shape[1]):
             out = self.add(out, self.mul(A[:, k:k + 1], B[k:k + 1, :]))
         return out
-
-    def matvec(self, A: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.matmul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1)).reshape(-1)
 
     def elements(self) -> range:
         return range(self.q)
@@ -323,34 +292,25 @@ def rank(F: Field, M: np.ndarray) -> int:
     return rref(F, M)[0].shape[0]
 
 
+def _complement(F: Field, R: np.ndarray, piv, n: int) -> tuple[np.ndarray, list[int]]:
+    """For reduced rows R with pivot columns piv in k^n: the matrix whose
+    rows are e_c - sum_r R[r, c] e_piv[r] over the non-pivot columns c,
+    and those columns.  Its rows span the right kernel of R."""
+    pivset = set(piv)
+    nonpiv = [c for c in range(n) if c not in pivset]
+    proj = F.zeros(len(nonpiv), n)
+    proj[np.arange(len(nonpiv)), nonpiv] = 1
+    proj[:, list(piv)] = F.neg(R[:, nonpiv]).T
+    return proj, nonpiv
+
+
 def kernel_basis(F: Field, M: np.ndarray) -> np.ndarray:
     """Basis of the right kernel {v : M v = 0}, rows in reduced echelon form."""
     M = np.asarray(M, dtype=np.int64)
-    cols = M.shape[1]
     R, pivots = rref(F, M)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = F.zeros(len(free), cols)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = F.neg(R[r, fc])
+    basis, _ = _complement(F, R, pivots, M.shape[1])
     out, _ = rref(F, basis)
     return out
-
-
-def solve(F: Field, M: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of M x = b with free variables set to 0, or None."""
-    M = np.asarray(M, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    aug = np.concatenate([M, b[:, None]], axis=1)
-    R, pivots = rref(F, aug)
-    n = M.shape[1]
-    if n in pivots:
-        return None
-    x = F.zeros(n)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, n]
-    return x
 
 
 def in_rowspace(F: Field, basis_rref: np.ndarray, vectors: np.ndarray) -> bool:
@@ -378,19 +338,11 @@ def quotient_map(F: Field, basis_rref: np.ndarray, n: int) -> tuple[np.ndarray, 
     the subspace; the section places quotient coordinates back at the
     non-pivot positions.  quotient_map @ section = identity.
     """
-    r = basis_rref.shape[0]
-    piv = []
-    for i in range(r):
-        piv.append(int(np.nonzero(basis_rref[i] != 0)[0][0]))
-    nonpiv = [c for c in range(n) if c not in set(piv)]
-    proj = F.zeros(n - r, n)
-    for a, c in enumerate(nonpiv):
-        proj[a, c] = 1
-    for i, pc in enumerate(piv):
-        proj[:, pc] = F.neg(basis_rref[i, nonpiv])
-    sec = F.zeros(n, n - r)
-    for a, c in enumerate(nonpiv):
-        sec[c, a] = 1
+    # argmax over a 0 x 0 basis raises; zero-dimensional spaces occur
+    piv = (basis_rref != 0).argmax(axis=1).tolist() if basis_rref.size else []
+    proj, nonpiv = _complement(F, basis_rref, piv, n)
+    sec = F.zeros(n, len(nonpiv))
+    sec[nonpiv, np.arange(len(nonpiv))] = 1
     return proj, sec
 
 

@@ -16,6 +16,7 @@ which the tests pin down.
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,15 +119,9 @@ def _mono_exists(X: Rep, Y: Rep) -> bool:
 
 # -- root-combinatorics engine -----------------------------------------
 
-_ROOT_MEASURE_MEMO: dict = {}
-_ROOT_MODULE_MEMO: dict = {}
-
-
-def _root_module(Q: Quiver, F: Field, x) -> Rep:
-    key = (Q, F.q, tuple(x))
-    if key not in _ROOT_MODULE_MEMO:
-        _ROOT_MODULE_MEMO[key] = build_preprojective(Q, F, x)
-    return _ROOT_MODULE_MEMO[key]
+@lru_cache(maxsize=None)
+def _root_module(Q: Quiver, F: Field, x: tuple[int, ...]) -> Rep:
+    return build_preprojective(Q, F, x)
 
 
 def _preproj_roots_inside(Q: Quiver, box) -> list:
@@ -134,12 +129,10 @@ def _preproj_roots_inside(Q: Quiver, box) -> list:
     return [x for x in roots if defect(Q, x) < 0]
 
 
-def _root_measure(Q: Quiver, F: Field, x) -> Measure:
+@lru_cache(maxsize=None)
+def _root_measure(Q: Quiver, F: Field, x: tuple[int, ...]) -> Measure:
     """Measure of the preprojective indecomposable with root x."""
-    key = (Q, F.q, tuple(x))
-    if key not in _ROOT_MEASURE_MEMO:
-        _ROOT_MEASURE_MEMO[key] = _measure_over_roots(_root_module(Q, F, x))
-    return _ROOT_MEASURE_MEMO[key]
+    return _measure_over_roots(_root_module(Q, F, x))
 
 
 def _measure_over_roots(M: Rep) -> Measure:

@@ -23,7 +23,7 @@ from .errors import (
 from fractions import Fraction
 
 from .functors import build_preinjective
-from .gf import Field, batched_full_row_rank, enumerate_subspaces, field
+from .gf import _factor_prime_power, batched_full_row_rank, enumerate_subspaces, field
 from .homreg import build_homogeneous_simples
 from .quiver import Quiver, defect, radical_delta, reflect_to_simple, reorient_toward, tits_form
 from .reps import (
@@ -131,16 +131,6 @@ def _check_sink_instance(R: Rep, i: int) -> tuple[int, ...]:
     return delta
 
 
-def _combine_batch(F: Field, coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Linear combinations of a (h, a, b) matrix stack: out[n] = sum_k coeffs[n,k] * stack[k]."""
-    if F.is_prime:
-        return np.tensordot(coeffs, stack, axes=([1], [0])) % F.q
-    acc = np.zeros((coeffs.shape[0],) + stack.shape[1:], dtype=np.int64)
-    for k in range(stack.shape[0]):
-        acc = F.add(acc, F.mul(coeffs[:, k][:, None, None], stack[k][None, :, :]))
-    return acc
-
-
 def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     """Count lines L in R_i whose quotient R/L has a one-dimensional
     endomorphism ring; equivalently the Hall number F^R_{I S(i)} where I
@@ -164,7 +154,9 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
         return 0
     order = [j for j in range(R.quiver.n) if expected[j] > 0]
     order.sort(key=lambda j: (expected[j], delta[j], j))
-    stacks = {j: np.stack([phi[j] for phi in basis]) for j in order}
+    # each vertex's basis maps as the rows of an (h, a*b) matrix, so every
+    # combination in a block is one row of a single field product
+    stacks = {j: np.stack([phi[j].reshape(-1) for phi in basis]) for j in order}
     total = 0
     for block in scalar_class_blocks(F.q, h):
         alive = np.ones(block.shape[0], dtype=bool)
@@ -172,7 +164,7 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
             live = np.flatnonzero(alive)
             if live.size == 0:
                 break
-            mats = _combine_batch(F, block[live], stacks[j])
+            mats = F.matmul(block[live], stacks[j]).reshape((live.size,) + basis[0][j].shape)
             ok = batched_full_row_rank(F, mats)
             alive[live[~ok]] = False
         total += int(alive.sum())
@@ -409,6 +401,7 @@ def necklace_count(q: int, l: int) -> int:
     degree l.  For l = 1 the polynomial count is q."""
     if l < 1:
         raise InvalidInputError("degree must be positive")
+    _factor_prime_power(q)
     total = sum(_moebius(l // d) * q ** d for d in _divisors(l))
     if total % l:
         raise InternalInconsistencyError("necklace sum not divisible by degree")

@@ -120,17 +120,22 @@ def sigma_reverse(Q: Quiver, i: int) -> Quiver:
     return Quiver(Q.n, arrows)
 
 
-def admissible_sink_order(Q: Quiver) -> tuple[int, ...]:
-    """Ordering i1, ..., in where each ik is a sink after reversing at the
-    previous vertices; ties broken by smallest index."""
-    cur = Q
-    remaining = set(range(Q.n))
+def admissible_sink_order(Q: Quiver, vertices=None) -> tuple[int, ...]:
+    """Ordering of `vertices` (default: all of them) in which each vertex is
+    a sink of the subquiver on the vertices not yet taken; ties broken by
+    smallest index.
+
+    Reversing at a vertex already taken only flips the arrows incident to
+    it, so the arrows among the remaining vertices are still Q's own and
+    each vertex is a sink of the reflected quiver at its turn.
+    """
+    remaining = set(range(Q.n) if vertices is None else vertices)
+    targets = {v: {t for s, t in Q.arrows if s == v} for v in remaining}
     order = []
     while remaining:
-        sink = min(v for v in remaining if cur.is_sink(v))
+        sink = min(v for v in remaining if not targets[v] & remaining)
         order.append(sink)
         remaining.discard(sink)
-        cur = sigma_reverse(cur, sink)
     return tuple(order)
 
 
@@ -333,14 +338,7 @@ def unit_vector(n: int, i: int) -> DimVector:
 
 def reflect_dimvec(Q: Quiver, i: int, x) -> DimVector:
     """Simple reflection s_i of the underlying diagram applied to x."""
-    x = tuple(int(v) for v in x)
-    s = -x[i]
-    for u, v in Q.arrows:
-        if u == i:
-            s += x[v]
-        elif v == i:
-            s += x[u]
-    return tuple(s if j == i else x[j] for j in range(Q.n))
+    return tuple(int(v) for v in _reflection_matrix(Q, i) @ np.array(x, dtype=np.int64))
 
 
 def _reflection_matrix(Q: Quiver, i: int) -> np.ndarray:
@@ -354,11 +352,8 @@ def _reflection_matrix(Q: Quiver, i: int) -> np.ndarray:
     return S
 
 
-@lru_cache(maxsize=None)
-def coxeter_matrix(Q: Quiver) -> np.ndarray:
-    """Phi with dim tau(M) = Phi @ dim M, built from the admissible sink
-    order of Q."""
-    order = admissible_sink_order(Q)
+def _sweep_matrix(Q: Quiver, order) -> np.ndarray:
+    """Product of the simple reflections along `order`, first one rightmost."""
     Phi = np.eye(Q.n, dtype=np.int64)
     for i in order:
         Phi = _reflection_matrix(Q, i) @ Phi
@@ -367,13 +362,15 @@ def coxeter_matrix(Q: Quiver) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def coxeter_matrix(Q: Quiver) -> np.ndarray:
+    """Phi with dim tau(M) = Phi @ dim M, built from the admissible sink
+    order of Q."""
+    return _sweep_matrix(Q, admissible_sink_order(Q))
+
+
+@lru_cache(maxsize=None)
 def coxeter_inverse(Q: Quiver) -> np.ndarray:
-    order = admissible_sink_order(Q)
-    Phi = np.eye(Q.n, dtype=np.int64)
-    for i in reversed(order):
-        Phi = _reflection_matrix(Q, i) @ Phi
-    Phi.setflags(write=False)
-    return Phi
+    return _sweep_matrix(Q, reversed(admissible_sink_order(Q)))
 
 
 def reflect_to_simple(Q: Quiver, x) -> tuple[int, tuple[int, ...], Quiver]:
@@ -474,11 +471,11 @@ def sink_sequence_to(Q: Quiver, i: int) -> tuple[int, ...]:
     cur = Q
     word: list[int] = []
     for _, far, _ in wrong:
-        # component on the far side of the edge (far, parent)
-        parent = next(v for v in _tree_neighbors(cur, far) if dist[v] == dist[far] - 1)
-        comp = _component_without_edge(cur, far, parent)
-        sub_order = _admissible_order_of_subset(cur, comp)
-        for v in sub_order:
+        # w is on the far side of the edge toward i when the path from i
+        # to w runs through far
+        dist_far = _tree_distances(Q, far)
+        comp = [w for w in range(Q.n) if dist_far[w] + dist[far] == dist[w]]
+        for v in admissible_sink_order(cur, comp):
             if v in forbidden:
                 raise InternalInconsistencyError("sink word touched a forbidden vertex")
             if not cur.is_sink(v):
@@ -488,44 +485,6 @@ def sink_sequence_to(Q: Quiver, i: int) -> tuple[int, ...]:
     if cur != target:
         raise InternalInconsistencyError("sink word did not produce the one-sink orientation")
     return tuple(word)
-
-
-def _tree_neighbors(Q: Quiver, v: int) -> list[int]:
-    out = []
-    for s, t in Q.arrows:
-        if s == v:
-            out.append(t)
-        elif t == v:
-            out.append(s)
-    return out
-
-
-def _component_without_edge(Q: Quiver, inside: int, blocked: int) -> set[int]:
-    seen = {inside}
-    stack = [inside]
-    while stack:
-        v = stack.pop()
-        for w in _tree_neighbors(Q, v):
-            if w == blocked and v == inside:
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _admissible_order_of_subset(Q: Quiver, subset: set[int]) -> list[int]:
-    cur = Q
-    remaining = set(subset)
-    order = []
-    while remaining:
-        sink = min(v for v in remaining
-                   if all(t not in remaining for s, t in cur.arrows if s == v))
-        # require a genuine sink of the induced subquiver
-        order.append(sink)
-        remaining.discard(sink)
-        cur = Quiver(cur.n, tuple((t, s) if s == sink or t == sink else (s, t) for s, t in cur.arrows))
-    return order
 
 
 # -- presets and text format -------------------------------------------

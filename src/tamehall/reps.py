@@ -285,11 +285,7 @@ def injective_classes(F: Field, X: Rep, basis: list[tuple[np.ndarray, ...]],
 
 def morphism_image(F: Field, phi: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Per-vertex column spaces as reduced row bases."""
-    out = []
-    for mat in phi:
-        R, piv = rref(F, mat.T.copy())
-        out.append(R[:len(piv)])
-    return tuple(out)
+    return tuple(rref(F, mat.T.copy())[0] for mat in phi)
 
 
 @dataclass

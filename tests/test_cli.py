@@ -277,6 +277,14 @@ def test_necklace_values(capsys):
     assert doc["value"] == 3
 
 
+@pytest.mark.parametrize("q", ["6", "1", "0", "-3"])
+def test_necklace_rejects_non_prime_power(capsys, q):
+    rc, out, err = run(capsys, "necklace", "--q", q, "--l", "2")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_oracle_dynkin_single_field(capsys):
     rc, out, err = run(capsys, "oracle-dynkin", "--field", "2")
     assert rc == 0

@@ -25,7 +25,6 @@ from tamehall.gf import (
     quotient_map,
     rank,
     rref,
-    solve,
 )
 
 FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -89,6 +88,14 @@ def test_invalid_orders_rejected():
         Field(1)
 
 
+def test_prime_inverses_up_to_max_q():
+    for q in range(2, 257):
+        if all(q % d for d in range(2, q)):
+            F = Field(q)
+            nz = np.arange(1, q)
+            assert np.array_equal(F.mul(nz, F.inv(nz)), np.ones(q - 1, dtype=np.int64))
+
+
 _CORRUPT_TABLE = """
 from tamehall.errors import InternalInconsistencyError
 from tamehall.gf import Field
@@ -130,28 +137,6 @@ def test_rref_idempotent_and_rank(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_solve_matches_brute_force(q):
-    F = field(q)
-    rng = random.Random(77 + q)
-    for _ in range(30):
-        r, c = rng.randrange(1, 4), rng.randrange(1, 4)
-        M = np.array([[rng.randrange(q) for _ in range(c)] for _ in range(r)], dtype=np.int64)
-        b = np.array([rng.randrange(q) for _ in range(r)], dtype=np.int64)
-        x = solve(F, M, b)
-        brute = None
-        for cand in itertools.product(range(q), repeat=c):
-            v = np.array(cand, dtype=np.int64)
-            if np.array_equal(F.matvec(M, v), b):
-                brute = v
-                break
-        if brute is None:
-            assert x is None
-        else:
-            assert x is not None
-            assert np.array_equal(F.matvec(M, x), b)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_subspace_enumeration_complete_and_canonical(q):
     F = field(q)
     for n in range(0, 5):
@@ -174,10 +159,10 @@ def test_subspace_enumeration_budget():
 
 def test_quotient_map_exactness():
     rng = random.Random(5)
-    for q in (2, 3, 4, 5, 9):
+    for q in (2, 3, 4, 5, 8, 9):
         F = field(q)
         for _ in range(20):
-            n = rng.randrange(1, 5)
+            n = rng.randrange(0, 5)
             d = rng.randrange(0, n + 1)
             M = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(d)], dtype=np.int64).reshape(d, n)
             B, _ = rref(F, M)

@@ -369,14 +369,29 @@ def test_admissible_order_path():
     assert admissible_sink_order(Q) == (2, 1, 0)
 
 
+def _acyclic_orientations(Q):
+    edges = Q.underlying_edges()
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        try:
+            yield Quiver(Q.n, tuple((t, s) if f else (s, t) for (s, t), f in zip(edges, flips)))
+        except QuiverStructureError:
+            continue
+
+
 def test_admissible_order_is_admissible():
+    rng = random.Random(23)
     for name in ALL_PRESETS:
-        Q = preset_quiver(name)
-        cur = Q
-        for i in admissible_sink_order(Q):
-            assert cur.is_sink(i)
-            cur = sigma_reverse(cur, i)
-        assert cur == Q  # reversing every vertex once restores the orientation
+        for Q in _acyclic_orientations(preset_quiver(name)):
+            cur = Q
+            for i in admissible_sink_order(Q):
+                assert cur.is_sink(i)
+                cur = sigma_reverse(cur, i)
+            assert cur == Q  # reversing every vertex once restores the orientation
+            subset = {v for v in range(Q.n) if rng.random() < 0.5}
+            order = admissible_sink_order(Q, subset)
+            assert sorted(order) == sorted(subset)
+            for k, v in enumerate(order):
+                assert not any(s == v and t in order[k:] for s, t in Q.arrows)
 
 
 def test_sigma_reverse_requires_sink_or_source():
