@@ -299,7 +299,9 @@ def _complement(F: Field, R: np.ndarray, piv, n: int) -> tuple[np.ndarray, list[
     pivset = set(piv)
     nonpiv = [c for c in range(n) if c not in pivset]
     proj = F.zeros(len(nonpiv), n)
-    proj[np.arange(len(nonpiv)), nonpiv] = 1
+    # a scalar loop: fancy indexing costs more on the tiny shapes common here
+    for r, c in enumerate(nonpiv):
+        proj[r, c] = 1
     proj[:, list(piv)] = F.neg(R[:, nonpiv]).T
     return proj, nonpiv
 

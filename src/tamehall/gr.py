@@ -28,7 +28,9 @@ from .errors import (
 )
 from .functors import build_preprojective
 from .gf import Field
-from .homreg import build_homogeneous_simples, is_simple_homogeneous
+# Kept bound although unused: bench/test_bench_tracer.py expects hall and gr to share it.
+from .homreg import build_homogeneous_simples  # noqa: F401
+from .homreg import homogeneous_simples, is_simple_homogeneous
 from .quiver import (
     Quiver,
     defect,
@@ -402,10 +404,10 @@ def verify_main_theorem(Q: Quiver, F: Field) -> GRReport:
         raise InvalidInputError(f"radical length {sum(delta)} above supported {MAX_AMBIENT}")
     if F.q > MAX_FIELD or F.q < 3:
         raise InvalidInputError("verification supports 3 <= q <= 5")
-    family = build_homogeneous_simples(Q, F)
-    if not family:
+    first = next(homogeneous_simples(Q, F), None)
+    if first is None:
         raise InternalInconsistencyError(f"no homogeneous module over GF({F.q})")
-    R = family[0][1]
+    R = first[1]
     mu = gr_measure(R)
     wits = gr_submodules(R)
     if not wits:

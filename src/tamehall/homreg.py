@@ -4,9 +4,17 @@ They arise as extensions of a preinjective by a preprojective whose
 dimension vectors add up to the radical generator: the extension space is
 a plane, its projective line parameterizes candidate modules, and the ones
 that are bricks fixed by the translate form the homogeneous family.
+
+`homogeneous_simples` yields the family lazily, testing each point of the
+line only when the caller asks for the next member: the one-sink table
+reads one or two members per field and the GR check reads one.
+`build_homogeneous_simples` lists the whole family for callers that index
+into it or count it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .functors import build_preinjective, tau
@@ -70,23 +78,29 @@ def is_simple_homogeneous(M: Rep) -> bool:
     return is_isomorphic(tau(M), M)
 
 
-def build_homogeneous_simples(Q: Quiver, F: Field) -> list[tuple[str, Rep]]:
-    """All homogeneous regular simples with dimension vector delta,
-    labelled by the extension line they come from: '0', '1', ..., 'inf'.
+def homogeneous_simples(Q: Quiver, F: Field) -> Iterator[tuple[str, Rep]]:
+    """The homogeneous regular simples with dimension vector delta, yielded
+    in the order of the extension line they come from: '0', '1', ...,
+    'inf', each labelled by its point.
 
     The projective line of the two-dimensional extension space carries one
     candidate per point; candidates sitting in finite tubes fail the brick
-    or translate test and are dropped."""
+    or translate test and are skipped.  A point is built and tested only
+    when the next member is asked for."""
     P, I = regular_pair(Q, F)
     ext = ext_space(I, P)
     if ext.dim != 2:
         raise InternalInconsistencyError(
             f"extension space has dimension {ext.dim}, expected 2")
-    out = []
     lines = [(str(lam), (1, lam)) for lam in range(F.q)] + [("inf", (0, 1))]
     for label, coeffs in lines:
         cocycle = hom_combination(F, ext.cocycles, coeffs)
         E = middle_term(P, I, cocycle)
         if is_simple_homogeneous(E):
-            out.append((label, E))
-    return out
+            yield label, E
+
+
+def build_homogeneous_simples(Q: Quiver, F: Field) -> list[tuple[str, Rep]]:
+    """The whole homogeneous family as a list, in `homogeneous_simples`
+    order."""
+    return list(homogeneous_simples(Q, F))

@@ -111,9 +111,14 @@ class Quiver:
         return len(self.arrows) == self.n - 1 and len(set(self.underlying_edges())) == len(self.arrows)
 
 
+@lru_cache(maxsize=None)
 def sigma_reverse(Q: Quiver, i: int) -> Quiver:
     """Reverse every arrow incident to vertex i.  Requires i to be a sink
-    or a source, so the result is again acyclic."""
+    or a source, so the result is again acyclic.
+
+    Cached: reflection sweeps revisit the same few quivers thousands of
+    times.  A rejected vertex raises on every call, since the cache keeps
+    no exceptions."""
     if not (Q.is_sink(i) or Q.is_source(i)):
         raise InvalidInputError(f"vertex {i} is neither a sink nor a source")
     arrows = tuple((t, s) if s == i or t == i else (s, t) for s, t in Q.arrows)

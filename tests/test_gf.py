@@ -176,6 +176,49 @@ def test_quotient_map_exactness():
             assert rank(F, proj) == n - r
 
 
+def _kernel_reference(F, M):
+    # the null space written entry by entry, as it was before _complement
+    R, piv = rref(F, M)
+    free = [c for c in range(M.shape[1]) if c not in piv]
+    basis = F.zeros(len(free), M.shape[1])
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(piv):
+            basis[i, pc] = F.neg(R[r, fc])
+    return rref(F, basis)[0]
+
+
+def _quotient_reference(F, B, n):
+    piv = [int(np.nonzero(B[i] != 0)[0][0]) for i in range(B.shape[0])]
+    nonpiv = [c for c in range(n) if c not in piv]
+    proj = F.zeros(len(nonpiv), n)
+    sec = F.zeros(n, len(nonpiv))
+    for a, c in enumerate(nonpiv):
+        proj[a, c] = 1
+        sec[c, a] = 1
+    for i, pc in enumerate(piv):
+        proj[:, pc] = F.neg(B[i, nonpiv])
+    return proj, sec
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9])
+def test_null_space_matches_scalar_reference(q):
+    F = field(q)
+    rng = random.Random(77 + q)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 2), (2, 2)]
+    shapes += [(rng.randrange(0, 6), rng.randrange(0, 7)) for _ in range(40)]
+    for r, c in shapes:
+        M = np.array([[rng.randrange(q) for _ in range(c)] for _ in range(r)],
+                     dtype=np.int64).reshape(r, c)
+        K, want = kernel_basis(F, M), _kernel_reference(F, M)
+        assert K.dtype == want.dtype and K.shape == want.shape
+        assert np.array_equal(K, want)
+        B, _ = rref(F, M)
+        for got, ref in zip(quotient_map(F, B, c), _quotient_reference(F, B, c)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
+
+
 def test_in_rowspace():
     F = field(3)
     B, _ = rref(F, np.array([[1, 1, 0], [0, 0, 1]]))

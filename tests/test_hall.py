@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tamehall import hall, homreg
 from tamehall.errors import (
     InvalidInputError,
     VerificationError,
@@ -30,6 +31,7 @@ from tamehall.quiver import preset_quiver, radical_delta
 from tamehall.reps import (
     direct_sum,
     projective_rep,
+    reps_equal,
     simple_rep,
 )
 
@@ -370,3 +372,43 @@ def test_necklace_matches_irreducible_sieve():
 def test_necklace_rejects_bad_degree():
     with pytest.raises(InvalidInputError):
         necklace_count(3, 0)
+
+
+def _line_position(label, q):
+    return q if label == "inf" else int(label)
+
+
+def test_sample_counts_builds_only_the_members_it_reads(monkeypatch):
+    real = homreg.is_simple_homogeneous
+    calls = []
+    monkeypatch.setattr(homreg, "is_simple_homogeneous",
+                        lambda M: calls.append(M) or real(M))
+    # without the cross-check the scan stops at the first homogeneous point
+    first = build_homogeneous_simples(D4, field(5))[0][0]
+    calls.clear()
+    sample_counts(D4, D4_SINK, (5,), cross_check=False)
+    assert len(calls) == _line_position(first, 5) + 1 < 5 + 1
+    # with it, the scan goes on to the second member, and over GF(3), which
+    # carries one homogeneous module, to the end of the line
+    second = build_homogeneous_simples(D4, field(4))[1][0]
+    calls.clear()
+    sample_counts(D4, D4_SINK, (4,))
+    assert len(calls) == _line_position(second, 4) + 1
+    calls.clear()
+    sample_counts(D4, D4_SINK, (3,))
+    assert len(calls) == 3 + 1
+
+
+def test_sample_counts_cross_check_compares_two_modules(monkeypatch):
+    seen = []
+
+    def fake_count(R, i, I):
+        seen.append(R)
+        return len(seen)
+
+    monkeypatch.setattr(hall, "hall_number_sink_fast", fake_count)
+    with pytest.raises(VerificationError):
+        sample_counts(D4, D4_SINK, (4,))
+    fam = build_homogeneous_simples(D4, field(4))
+    assert len(seen) == 2
+    assert all(reps_equal(R, M) for R, (_, M) in zip(seen, fam))

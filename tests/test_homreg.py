@@ -8,6 +8,7 @@ from tamehall.functors import tau
 from tamehall.gf import field
 from tamehall.homreg import (
     build_homogeneous_simples,
+    homogeneous_simples,
     is_simple_homogeneous,
     regular_pair,
 )
@@ -17,6 +18,7 @@ from tamehall.reps import (
     direct_sum,
     is_brick,
     is_isomorphic,
+    reps_equal,
     simple_rep,
 )
 
@@ -82,6 +84,20 @@ def test_affine_family_counts():
     assert len(build_homogeneous_simples(preset_quiver("dtilde:4"), field(5))) == 3
     assert len(build_homogeneous_simples(preset_quiver("dtilde:5"), field(3))) == 1
     assert len(build_homogeneous_simples(preset_quiver("e6tilde"), field(3))) == 1
+
+
+@pytest.mark.parametrize("name, tubes", [
+    ("kronecker", 0), ("dtilde:4", 3), ("dtilde:5", 3), ("dtilde:6", 3),
+    ("e6tilde", 3), ("e7tilde", 3), ("e8tilde", 3)])
+def test_tube_count_and_lazy_family_on_every_affine_preset(name, tubes):
+    # q + 1 - t points of the extension line are homogeneous, t the number
+    # of exceptional tubes (Dlab-Ringel, Mem. AMS 173)
+    Q, F = preset_quiver(name), field(4)
+    fam = build_homogeneous_simples(Q, F)
+    assert len(fam) == F.q + 1 - tubes
+    lazy = list(homogeneous_simples(Q, F))
+    assert [lab for lab, _ in lazy] == [lab for lab, _ in fam]
+    assert all(reps_equal(A, B) for (_, A), (_, B) in zip(lazy, fam))
 
 
 def test_family_members_are_simple_homogeneous():

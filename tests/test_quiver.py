@@ -396,8 +396,17 @@ def test_admissible_order_is_admissible():
 
 def test_sigma_reverse_requires_sink_or_source():
     Q = Quiver(3, ((0, 1), (1, 2)))
-    with pytest.raises(InvalidInputError):
-        sigma_reverse(Q, 1)
+    for _ in range(3):  # the result cache must not swallow the check
+        with pytest.raises(InvalidInputError):
+            sigma_reverse(Q, 1)
+
+
+def test_sigma_reverse_returns_the_cached_quiver():
+    Q = Quiver(3, ((0, 1), (1, 2)))
+    R = sigma_reverse(Q, 2)
+    assert R == Quiver(3, ((0, 1), (2, 1)))
+    assert sigma_reverse(Q, 2) is R
+    assert sigma_reverse(Quiver(3, ((0, 1), (1, 2))), 2) is R
 
 
 def test_coxeter_on_two_vertex_examples():
