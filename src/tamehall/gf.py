@@ -213,6 +213,11 @@ class Field:
         return self._neg_table[np.asarray(a, dtype=np.int64)]
 
     def inv(self, a):
+        # scalar pivots (rref) take a Python-int path, without an array round trip
+        if isinstance(a, (int, np.integer)):
+            if a == 0:
+                raise ZeroDivisionError("inversion of 0 in GF(q)")
+            return self._inv_table[int(a)]
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of 0 in GF(q)")

@@ -4,8 +4,11 @@ A Hall number F^M_{N1 N2} counts the submodules U of M with U isomorphic
 to N2 and M/U isomorphic to N1.  The generic routine enumerates
 submodules directly.  For the one-sink counts that feed the polynomial
 table there is a fast path that enumerates normalized surjection classes
-onto the expected preinjective quotient, plus a literal line-by-line
-check kept as a cross oracle.
+onto the expected preinjective quotient I, plus a literal line-by-line
+check kept as a cross oracle.  The fast path tests each class for
+surjectivity on top(I) = I / rad I only: by Nakayama's lemma a map onto
+the top of I is onto I, since rad I is spanned by arrow images and the
+arrow ideal of an acyclic quiver is nilpotent.
 
 Counts sampled over several fields are interpolated into exact integer
 polynomials in q, with held-out fields used for verification.
@@ -37,6 +40,7 @@ from .reps import (
     quotient_rep,
     scalar_class_blocks,
     sub_rep,
+    top_projection,
 )
 
 # Fields used when sampling counts: the first delta_i of these, never GF(2).
@@ -141,6 +145,16 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     The count is realized as the number of surjections R -> I_expected
     up to scalar: each such class has a distinct line kernel, and every
     line with indecomposable quotient arises this way.
+
+    Surjectivity is tested on the top of I only (Nakayama's lemma): phi
+    is onto exactly when R -> I -> top(I) = I / rad I is onto.  Here
+    rad I = J I for the arrow ideal J, and J is nilpotent because the
+    quiver has no oriented cycle; so if the image U of phi has
+    U + J I = I, then I = U + J^2 I = ... = U.  top(I) is semisimple, so
+    the composite is onto exactly when pi_j phi_j (t_j x r_j, with
+    t_j = dim top(I)_j) has full row rank at every vertex with t_j > 0.
+    The count equals the one that checks every phi_j on all of I_j, on
+    fewer and smaller matrices.
     """
     delta = _check_sink_instance(R, i)
     expected = tuple(d - (1 if j == i else 0) for j, d in enumerate(delta))
@@ -154,11 +168,17 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
             f"hom space dimension {h} differs from sink multiplicity {delta[i]}")
     if h == 0:
         return 0
-    order = [j for j in range(R.quiver.n) if expected[j] > 0]
-    order.sort(key=lambda j: (expected[j], delta[j], j))
-    # each vertex's basis maps as the rows of an (h, a*b) matrix, so every
-    # combination in a block is one row of a single field product
-    stacks = {j: np.stack([phi[j].reshape(-1) for phi in basis]) for j in order}
+    pi = top_projection(I_expected)
+    tops = [p.shape[0] for p in pi]
+    order = [j for j in range(R.quiver.n) if tops[j] > 0]
+    if not order:
+        raise InternalInconsistencyError("expected quotient is nonzero but its top is zero")
+    order.sort(key=lambda j: (tops[j], delta[j], j))
+    # each vertex's basis maps, composed with pi_j, as the rows of an
+    # (h, t*r) matrix, so every combination in a block is one row of a
+    # single field product
+    stacks = {j: np.stack([F.matmul(pi[j], phi[j]).reshape(-1) for phi in basis])
+              for j in order}
     total = 0
     for block in scalar_class_blocks(F.q, h):
         alive = np.ones(block.shape[0], dtype=bool)
@@ -166,7 +186,7 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
             live = np.flatnonzero(alive)
             if live.size == 0:
                 break
-            mats = F.matmul(block[live], stacks[j]).reshape((live.size,) + basis[0][j].shape)
+            mats = F.matmul(block[live], stacks[j]).reshape(live.size, tops[j], delta[j])
             ok = batched_full_row_rank(F, mats)
             alive[live[~ok]] = False
         total += int(alive.sum())

@@ -151,6 +151,19 @@ def injective_rep(Q: Quiver, F: Field, i: int) -> Rep:
     return Rep(Q, F, dims, tuple(mats))
 
 
+def top_projection(M: Rep) -> tuple[np.ndarray, ...]:
+    """Per vertex j, the projection pi_j: M_j -> top(M)_j = M_j / (rad M)_j,
+    a (t_j, dim M_j) matrix with t_j = dim top(M)_j.  (rad M)_j is the span
+    of the images of the arrows into j."""
+    F = M.field
+    out = []
+    for j in range(M.quiver.n):
+        images = [M.mats[a].T for a in M.quiver.incoming(j)]
+        rad, _ = rref(F, np.concatenate(images) if images else F.zeros(0, M.dims[j]))
+        out.append(quotient_map(F, rad, M.dims[j])[0])
+    return tuple(out)
+
+
 # -- Hom and Ext -------------------------------------------------------
 
 

@@ -96,6 +96,26 @@ def test_prime_inverses_up_to_max_q():
             assert np.array_equal(F.mul(nz, F.inv(nz)), np.ones(q - 1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_inverse_of_zero_raises_on_every_path(q):
+    F = field(q)
+    for zero in (0, np.int64(0), np.array([1, 0, 2])):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(zero)
+
+
+def test_scalar_inverse_equals_array_inverse():
+    for q in range(2, 28):
+        try:
+            F = field(q)
+        except InvalidInputError:
+            continue
+        nz = np.arange(1, q)
+        by_array = F.inv(nz)
+        for a in range(1, q):
+            assert F.inv(a) == F.inv(np.int64(a)) == by_array[a - 1]
+
+
 _CORRUPT_TABLE = """
 from tamehall.errors import InternalInconsistencyError
 from tamehall.gf import Field

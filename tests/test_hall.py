@@ -5,11 +5,12 @@ import pytest
 
 from tamehall import hall, homreg
 from tamehall.errors import (
+    InternalInconsistencyError,
     InvalidInputError,
     VerificationError,
 )
 from tamehall.functors import build_preinjective, build_preprojective, reflect_plus
-from tamehall.gf import field
+from tamehall.gf import field, rank
 from tamehall.hall import (
     HallPolynomial,
     PINNED_SINK_POLYNOMIALS,
@@ -27,11 +28,14 @@ from tamehall.hall import (
     table_mismatches,
 )
 from tamehall.homreg import build_homogeneous_simples
-from tamehall.quiver import preset_quiver, radical_delta
+from tamehall.quiver import preset_quiver, radical_delta, reorient_toward
 from tamehall.reps import (
     direct_sum,
+    hom_basis,
+    hom_combination,
     projective_rep,
     reps_equal,
+    scalar_class_blocks,
     simple_rep,
 )
 
@@ -147,6 +151,48 @@ def test_fast_count_rejects_bad_instances():
         hall_number_sink_fast(R, 1, simple_rep(K, F, 1))
     with pytest.raises(InvalidInputError):
         hall_number_sink_fast(R, 5, I)
+
+
+def all_vertex_count(R, I):
+    """Reference one-sink count: scalar classes of Hom(R, I) whose map is
+    onto I_j at every vertex, each checked on the whole of I_j."""
+    F = R.field
+    basis = hom_basis(R, I)
+    total = 0
+    for block in scalar_class_blocks(F.q, len(basis)):
+        for coeffs in block:
+            phi = hom_combination(F, basis, coeffs)
+            total += all(rank(F, phi[j]) == d for j, d in enumerate(I.dims) if d)
+    return total
+
+
+@pytest.mark.parametrize("name,q", [
+    ("dtilde:4", 3), ("dtilde:4", 4), ("dtilde:5", 3), ("dtilde:6", 3),
+    ("e6tilde", 3), ("e6tilde", 4), ("e7tilde", 3), ("e8tilde", 3),
+])
+def test_top_only_count_matches_all_vertex_count_at_every_sink(name, q):
+    Q = preset_quiver(name)
+    F = field(q)
+    delta = radical_delta(Q)
+    for i in range(Q.n):
+        if delta[i] > 4:
+            continue  # the e8tilde rows m = 5, 6: seconds per count in the references
+        Qi = reorient_toward(Q, i)
+        R = next(homreg.homogeneous_simples(Qi, F))[1]
+        I = expected_quotient(Qi, F, i)
+        fast = hall_number_sink_fast(R, i, I)
+        assert fast == all_vertex_count(R, I) == hall_number_sink_lines(R, i)
+        assert fast == sum(c * q ** k for k, c in enumerate(PINNED_SINK_POLYNOMIALS[delta[i]]))
+
+
+def test_fast_count_rejects_a_nonzero_quotient_with_zero_top(monkeypatch):
+    F = field(3)
+    R = first_regular(D4, F)
+    I = expected_quotient(D4, F, D4_SINK)
+    monkeypatch.setattr(hall, "top_projection",
+                        lambda M: tuple(F.zeros(0, d) for d in M.dims))
+    with pytest.raises(InternalInconsistencyError):
+        hall_number_sink_fast(R, D4_SINK, I)
 
 
 # ------------------------------------------------------------------ samples

@@ -29,6 +29,7 @@ from tamehall.reps import (
     reps_equal,
     simple_rep,
     sub_rep,
+    top_projection,
     zero_rep,
 )
 
@@ -36,6 +37,9 @@ K = preset_quiver("kronecker")
 A2 = preset_quiver("a:2")
 AFFINE_PRESETS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde",
                   "e8tilde")
+# the preset list of tests/test_quiver.py
+ALL_PRESETS = ("kronecker", "a:1", "a:2", "a:5", "d:4", "d:6", "e:6", "e:7", "e:8",
+               "dtilde:4", "dtilde:6", "e6tilde", "e7tilde", "e8tilde")
 
 
 def r_lambda(F, lam):
@@ -117,6 +121,40 @@ def test_injective_dims_match_reverse_path_counts():
         for i in range(Q.n):
             I = injective_rep(Q, F, i)
             assert list(I.dims) == _path_counts(rev, i)
+
+
+def _check_top_projection(M):
+    """pi_j kills every arrow image into j and has rank t_j = dim M_j minus
+    the rank of the arrows into j; returns the t_j."""
+    F = M.field
+    pi = top_projection(M)
+    for j, p in enumerate(pi):
+        into = [M.mats[a] for a in M.quiver.incoming(j)]
+        rad = rank(F, np.concatenate(into, axis=1)) if into else 0
+        assert p.shape == (M.dims[j] - rad, M.dims[j])
+        assert rank(F, p) == p.shape[0]
+        for A in into:
+            assert not F.matmul(p, A).any()
+    return tuple(p.shape[0] for p in pi)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_top_projection_of_projectives_simples_and_injectives(q):
+    F = field(q)
+    for name in ALL_PRESETS:
+        Q = preset_quiver(name)
+        for j in range(Q.n):
+            e_j = tuple(1 if k == j else 0 for k in range(Q.n))
+            assert _check_top_projection(projective_rep(Q, F, j)) == e_j
+            S = simple_rep(Q, F, j)
+            assert _check_top_projection(S) == e_j
+            assert np.array_equal(top_projection(S)[j], F.eye(1))
+            # every arrow into k maps onto I_k, so the top of I is I_k at the
+            # sources k and 0 elsewhere
+            I = injective_rep(Q, F, j)
+            tops = _check_top_projection(I)
+            assert all(tops[k] == (I.dims[k] if not Q.incoming(k) else 0)
+                       for k in range(Q.n))
 
 
 def test_kronecker_projectives_and_injectives():
