@@ -397,6 +397,8 @@ def cmd_reflect(v, Q, F):
     """Apply one reflection to MODULE and print the result."""
     M = build_module(Q, F, v["module"])
     i = _parse_vertex(str(_require(v["vertex"], "--vertex")), Q.n)
+    if not (Q.is_source(i) if v["minus"] else Q.is_sink(i)):
+        raise InvalidInputError(f"vertex {i + 1} is not a {'source' if v['minus'] else 'sink'}")
     N = reflect_minus(M, i) if v["minus"] else reflect_plus(M, i)
     label = f"reflect{'-' if v['minus'] else '+'}@{v['vertex']} {v['module']}"
     m = {"module": v["module"], "vertex": v["vertex"], "minus": bool(v["minus"]),

@@ -1,24 +1,29 @@
 """Reflection functors at sinks and sources, the translate built from a
 full sweep of them, and constructors for the indecomposable of a given
-preprojective or preinjective root."""
+preprojective or preinjective root.
+
+Only the plus side is computed: each minus-side construction is its twin
+read through the k-dual D, rep(Q) -> rep(Q^op), as sigma_i^- = D sigma_i^+ D
+and tau^- = D tau D (Bernstein-Gelfand-Ponomarev 1973; Auslander-Reiten-
+Smalo, ch. VIII)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidInputError
-from .gf import Field, kernel_basis, quotient_map, rref
+from .gf import Field, kernel_basis
 from .quiver import (
     Quiver,
     admissible_sink_order,
     coxeter_inverse,
-    coxeter_matrix,
     defect,
     is_affine,
+    opposite,
     sigma_reverse,
     tits_form,
 )
-from .reps import Rep, injective_rep, projective_rep
+from .reps import Rep, dual, injective_rep
 
 
 def reflect_plus(M: Rep, i: int) -> Rep:
@@ -51,31 +56,10 @@ def reflect_plus(M: Rep, i: int) -> Rep:
 
 def reflect_minus(N: Rep, i: int) -> Rep:
     """Source reflection: replace the space at the source i by the cokernel
-    of the combined map into the neighbouring spaces."""
-    Q, F = N.quiver, N.field
-    if not Q.is_source(i):
+    of the combined map into the neighbouring spaces, as D sigma_i^+ D."""
+    if not N.quiver.is_source(i):
         raise InvalidInputError(f"vertex {i} is not a source")
-    out = Q.outgoing(i)
-    offs = {}
-    total = 0
-    for a in out:
-        offs[a] = total
-        total += N.dims[Q.arrows[a][1]]
-    S = F.zeros(total, N.dims[i])
-    for a in out:
-        t = Q.arrows[a][1]
-        S[offs[a]:offs[a] + N.dims[t], :] = N.mats[a]
-    U, _ = rref(F, S.T.copy())
-    proj, _ = quotient_map(F, U, total)
-    newdim = proj.shape[0]
-    dims = tuple(newdim if j == i else N.dims[j] for j in range(Q.n))
-    mats = []
-    for a, (s, t) in enumerate(Q.arrows):
-        if s == i:
-            mats.append(proj[:, offs[a]:offs[a] + N.dims[t]].copy())
-        else:
-            mats.append(N.mats[a])
-    return Rep(sigma_reverse(Q, i), F, dims, tuple(mats))
+    return dual(reflect_plus(dual(N), i))
 
 
 def tau(M: Rep) -> Rep:
@@ -91,73 +75,44 @@ def tau(M: Rep) -> Rep:
 
 
 def tau_minus(N: Rep) -> Rep:
-    """Full sweep of source reflections, the other way around; kills
-    injective summands."""
-    Q = N.quiver
-    cur = N
-    for i in reversed(admissible_sink_order(Q)):
-        cur = reflect_minus(cur, i)
-    if cur.quiver != Q:
-        raise InternalInconsistencyError("sweep did not return to the quiver")
-    return cur
+    """Inverse translate D tau D: a full sweep of source reflections;
+    kills injective summands."""
+    return dual(tau(dual(N)))
 
 
-def _walk_to_known_dims(Q: Quiver, x, step_matrix: np.ndarray,
-                        known: dict[tuple[int, ...], int]) -> tuple[int, int]:
-    """Apply step_matrix until the vector matches a known dimension vector;
-    return (vertex, number of steps)."""
-    y = np.array(x, dtype=np.int64)
-    limit = int(sum(x)) + 4 * Q.n
-    for r in range(limit + 1):
-        ty = tuple(int(v) for v in y)
-        if ty in known:
-            return known[ty], r
-        y = step_matrix @ y
-        if (y < 0).any() or not y.any():
-            break
-    raise InvalidInputError(f"{tuple(x)} does not reach a known endpoint")
-
-
-def build_preprojective(Q: Quiver, F: Field, x) -> Rep:
-    """Indecomposable with preprojective real root x, built by walking the
-    root to a projective and translating back."""
-    x = tuple(int(v) for v in x)
-    if any(v < 0 for v in x) or not any(x):
-        raise InvalidInputError("root must be positive")
-    if tits_form(Q, x) != 1:
-        raise InvalidInputError(f"{x} is not a real root")
-    if is_affine(Q) and defect(Q, x) >= 0:
-        raise InvalidInputError(f"{x} is not preprojective")
-    known = {projective_rep(Q, F, j).dims: j for j in range(Q.n)}
-    try:
-        j, r = _walk_to_known_dims(Q, x, coxeter_matrix(Q), known)
-    except InvalidInputError:
-        raise InvalidInputError(f"{x} is not a preprojective root")
-    M = projective_rep(Q, F, j)
-    for _ in range(r):
-        M = tau_minus(M)
-    if M.dims != x:
-        raise InternalInconsistencyError("translate walk missed the root")
-    return M
-
-
-def build_preinjective(Q: Quiver, F: Field, x) -> Rep:
-    """Indecomposable with preinjective real root x."""
+def _preinjective(Q: Quiver, F: Field, x, kind: str) -> Rep:
+    """Indecomposable with preinjective real root x of Q, built by walking
+    the root to an injective and translating back; `kind` names the root
+    in the error messages."""
     x = tuple(int(v) for v in x)
     if any(v < 0 for v in x) or not any(x):
         raise InvalidInputError("root must be positive")
     if tits_form(Q, x) != 1:
         raise InvalidInputError(f"{x} is not a real root")
     if is_affine(Q) and defect(Q, x) <= 0:
-        raise InvalidInputError(f"{x} is not preinjective")
+        raise InvalidInputError(f"{x} is not {kind}")
+    # apply Phi^-1 until x becomes the dimension vector of an injective
     known = {injective_rep(Q, F, j).dims: j for j in range(Q.n)}
-    try:
-        j, r = _walk_to_known_dims(Q, x, coxeter_inverse(Q), known)
-    except InvalidInputError:
-        raise InvalidInputError(f"{x} is not a preinjective root")
-    N = injective_rep(Q, F, j)
+    step = coxeter_inverse(Q)
+    y, r = np.array(x, dtype=np.int64), 0
+    while tuple(y) not in known:
+        y, r = step @ y, r + 1
+        if (y < 0).any() or not y.any() or r > sum(x) + 4 * Q.n:
+            raise InvalidInputError(f"{x} is not a {kind} root")
+    N = injective_rep(Q, F, known[tuple(y)])
     for _ in range(r):
         N = tau(N)
     if N.dims != x:
         raise InternalInconsistencyError("translate walk missed the root")
     return N
+
+
+def build_preprojective(Q: Quiver, F: Field, x) -> Rep:
+    """Indecomposable with preprojective real root x: the dual of the
+    preinjective of Q^op with root x (D swaps the signs of the defect)."""
+    return dual(_preinjective(opposite(Q), F, x, "preprojective"))
+
+
+def build_preinjective(Q: Quiver, F: Field, x) -> Rep:
+    """Indecomposable with preinjective real root x."""
+    return _preinjective(Q, F, x, "preinjective")

@@ -125,13 +125,21 @@ def hall_number(M: Rep, N1: Rep, N2: Rep, budget: int = 2_000_000) -> int:
 # -- fast path for the one-sink count ----------------------------------
 
 
-def _check_sink_instance(R: Rep, i: int) -> tuple[int, ...]:
-    Q = R.quiver
-    if not 0 <= i < Q.n:
-        raise InvalidInputError(f"vertex {i} out of range")
+def _sink_delta(Q: Quiver, i: int) -> tuple[int, ...]:
     if Q.sinks() != (i,):
         raise InvalidInputError("quiver must have its unique sink at the given vertex")
-    delta = radical_delta(Q)
+    return radical_delta(Q)
+
+
+def _minus_unit(delta: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """delta - e_i, the dimension vector of the preinjective quotient."""
+    return tuple(d - (1 if j == i else 0) for j, d in enumerate(delta))
+
+
+def _check_sink_instance(R: Rep, i: int) -> tuple[int, ...]:
+    if not 0 <= i < R.quiver.n:
+        raise InvalidInputError(f"vertex {i} out of range")
+    delta = _sink_delta(R.quiver, i)
     if R.dims != delta:
         raise InvalidInputError("module must have the radical dimension vector")
     return delta
@@ -157,8 +165,7 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     fewer and smaller matrices.
     """
     delta = _check_sink_instance(R, i)
-    expected = tuple(d - (1 if j == i else 0) for j, d in enumerate(delta))
-    if I_expected.dims != expected or I_expected.field != R.field or I_expected.quiver != R.quiver:
+    if I_expected.dims != _minus_unit(delta, i) or I_expected.field != R.field or I_expected.quiver != R.quiver:
         raise InvalidInputError("expected quotient must be the preinjective of dimension delta - e_i")
     F = R.field
     basis = hom_basis(R, I_expected)
@@ -220,8 +227,7 @@ def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...],
     Only the members read are built: the first of each field's family,
     and the second while the cross-check is still pending (a field with
     one homogeneous module is then scanned to the end of its line)."""
-    delta = radical_delta(Q)
-    expected = tuple(d - (1 if j == i else 0) for j, d in enumerate(delta))
+    expected = _minus_unit(radical_delta(Q), i)
     out = []
     checked = False
     for q in fields:
@@ -313,12 +319,6 @@ def hall_poly_f(Q: Quiver, i: int) -> HallPolynomial:
         raise VerificationError(
             f"expected a monic polynomial of degree {m - 1}, got {poly.coeffs}")
     return poly
-
-
-def _sink_delta(Q: Quiver, i: int) -> tuple[int, ...]:
-    if Q.sinks() != (i,):
-        raise InvalidInputError("quiver must have its unique sink at the given vertex")
-    return radical_delta(Q)
 
 
 def hall_poly_for_root(Q: Quiver, x: tuple[int, ...]) -> HallPolynomial:

@@ -125,6 +125,14 @@ def sigma_reverse(Q: Quiver, i: int) -> Quiver:
     return Quiver(Q.n, arrows)
 
 
+@lru_cache(maxsize=None)
+def opposite(Q: Quiver) -> Quiver:
+    """The opposite quiver: arrow a of Q, reversed, is arrow a of Q^op.
+    Its sinks are the sources of Q, so each minus-side construction is
+    the plus-side one on Q^op, read back through the k-dual."""
+    return Quiver(Q.n, tuple((t, s) for s, t in Q.arrows))
+
+
 def admissible_sink_order(Q: Quiver, vertices=None) -> tuple[int, ...]:
     """Ordering of `vertices` (default: all of them) in which each vertex is
     a sink of the subquiver on the vertices not yet taken; ties broken by
@@ -373,9 +381,11 @@ def coxeter_matrix(Q: Quiver) -> np.ndarray:
     return _sweep_matrix(Q, admissible_sink_order(Q))
 
 
-@lru_cache(maxsize=None)
 def coxeter_inverse(Q: Quiver) -> np.ndarray:
-    return _sweep_matrix(Q, reversed(admissible_sink_order(Q)))
+    """Phi^-1 with dim tau^-(M) = Phi^-1 @ dim M: the Coxeter matrix of
+    Q^op, since the reflections only see the underlying graph and the
+    sink order of Q^op is a source order of Q."""
+    return coxeter_matrix(opposite(Q))
 
 
 def reflect_to_simple(Q: Quiver, x) -> tuple[int, tuple[int, ...], Quiver]:

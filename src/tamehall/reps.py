@@ -18,7 +18,7 @@ from .errors import (
     InvalidInputError,
 )
 from .gf import Field, enumerate_subspaces, gaussian_binomial, in_rowspace, kernel_basis, quotient_map, rank, rref
-from .quiver import Quiver, admissible_sink_order, euler_form
+from .quiver import Quiver, admissible_sink_order, euler_form, opposite
 
 
 @dataclass(eq=False)
@@ -84,6 +84,14 @@ def direct_sum(M: Rep, N: Rep) -> Rep:
     return Rep(Q, F, dims, tuple(mats))
 
 
+def dual(M: Rep) -> Rep:
+    """The k-dual D M = Hom_k(M, k), a representation of Q^op: the same
+    spaces (in the dual bases) and every arrow matrix transposed.  D is
+    an involution, and it swaps sinks with sources, projectives with
+    injectives, and the plus and minus reflection functors."""
+    return Rep(opposite(M.quiver), M.field, M.dims, tuple(A.T for A in M.mats))
+
+
 # -- projectives and injectives ----------------------------------------
 
 
@@ -97,21 +105,6 @@ def _paths_from(Q: Quiver, i: int) -> list[tuple[tuple[int, ...], int]]:
         for p, v in frontier:
             for a in Q.outgoing(v):
                 nxt.append((p + (a,), Q.arrows[a][1]))
-        nxt.sort()
-        done.extend(nxt)
-        frontier = nxt
-    return done
-
-
-def _paths_to(Q: Quiver, i: int) -> list[tuple[tuple[int, ...], int]]:
-    """All paths ending at i as (arrow index sequence, start vertex)."""
-    done = [((), i)]
-    frontier = [((), i)]
-    while frontier:
-        nxt = []
-        for p, v in frontier:
-            for a in Q.incoming(v):
-                nxt.append(((a,) + p, Q.arrows[a][0]))
         nxt.sort()
         done.extend(nxt)
         frontier = nxt
@@ -135,20 +128,10 @@ def projective_rep(Q: Quiver, F: Field, i: int) -> Rep:
 
 
 def injective_rep(Q: Quiver, F: Field, i: int) -> Rep:
-    """Indecomposable injective with socle the simple at i; basis at j given
-    by the paths from j to i."""
-    paths = _paths_to(Q, i)
-    basis = {j: [p for p, st in paths if st == j] for j in range(Q.n)}
-    index = {j: {p: k for k, p in enumerate(basis[j])} for j in range(Q.n)}
-    dims = tuple(len(basis[j]) for j in range(Q.n))
-    mats = []
-    for a, (s, t) in enumerate(Q.arrows):
-        A = F.zeros(dims[t], dims[s])
-        for u in basis[s]:
-            if u and u[0] == a:
-                A[index[t][u[1:]], index[s][u]] = 1
-        mats.append(A)
-    return Rep(Q, F, dims, tuple(mats))
+    """Indecomposable injective with socle the simple at i: the dual of
+    the projective of Q^op at i, so its basis at j is the paths from j
+    to i."""
+    return dual(projective_rep(opposite(Q), F, i))
 
 
 def top_projection(M: Rep) -> tuple[np.ndarray, ...]:

@@ -165,6 +165,16 @@ def test_reflect_non_sink_rejected(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("vertex, minus, message", [
+    ("2", True, "error: vertex 2 is not a source\n"),
+    ("1", False, "error: vertex 1 is not a sink\n"),
+], ids=["minus", "plus"])
+def test_reflect_names_the_vertex_as_typed(capsys, vertex, minus, message):
+    args = ["reflect", "simple:1", "--vertex", vertex, "--preset", "kronecker", "--field", "3"]
+    rc, out, err = run(capsys, *args, *(["--minus"] if minus else []))
+    assert (rc, out, err) == (3, "", message)
+
+
 def test_reflect_minus_at_source(capsys):
     rc, doc, _ = run_json(capsys, "reflect", "simple:1", "--vertex", "1",
                           "--minus", "--preset", "dtilde:4", "--field", "3")
