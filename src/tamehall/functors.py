@@ -9,10 +9,12 @@ Smalo, ch. VIII)."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidInputError
-from .gf import Field, kernel_basis
+from .gf import Field, field, kernel_basis
 from .quiver import (
     Quiver,
     admissible_sink_order,
@@ -23,7 +25,7 @@ from .quiver import (
     sigma_reverse,
     tits_form,
 )
-from .reps import Rep, dual, injective_rep
+from .reps import Rep, dual, injective_rep, is_brick
 
 
 def reflect_plus(M: Rep, i: int) -> Rep:
@@ -80,17 +82,10 @@ def tau_minus(N: Rep) -> Rep:
     return dual(tau(dual(N)))
 
 
-def _preinjective(Q: Quiver, F: Field, x, kind: str) -> Rep:
+def _walk(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
     """Indecomposable with preinjective real root x of Q, built by walking
     the root to an injective and translating back; `kind` names the root
     in the error messages."""
-    x = tuple(int(v) for v in x)
-    if any(v < 0 for v in x) or not any(x):
-        raise InvalidInputError("root must be positive")
-    if tits_form(Q, x) != 1:
-        raise InvalidInputError(f"{x} is not a real root")
-    if is_affine(Q) and defect(Q, x) <= 0:
-        raise InvalidInputError(f"{x} is not {kind}")
     # apply Phi^-1 until x becomes the dimension vector of an injective
     known = {injective_rep(Q, F, j).dims: j for j in range(Q.n)}
     step = coxeter_inverse(Q)
@@ -105,6 +100,41 @@ def _preinjective(Q: Quiver, F: Field, x, kind: str) -> Rep:
     if N.dims != x:
         raise InternalInconsistencyError("translate walk missed the root")
     return N
+
+
+@lru_cache(maxsize=None)
+def _signed_form(Q: Quiver, x: tuple[int, ...], kind: str) -> tuple[np.ndarray, ...]:
+    """Arrow matrices of the GF(3) walk to x, with 2 read as -1, so that
+    they have entries in {0, 1, -1} and make sense over every field.
+    Read-only, since every caller shares them."""
+    mats = []
+    for A in _walk(Q, field(3), x, kind).mats:
+        S = np.where(A == 2, -1, A)
+        S.setflags(write=False)
+        mats.append(S)
+    return tuple(mats)
+
+
+def _preinjective(Q: Quiver, F: Field, x, kind: str) -> Rep:
+    """Indecomposable with preinjective real root x of Q.
+
+    The module is walked once per quiver over GF(3) and lifted into F,
+    since exceptional modules have bases with coefficients 0 and +-1
+    (Ringel, "Exceptional modules are tree modules", 1998).  The lift is
+    kept only if it is a brick in F: a brick M whose dimension vector is
+    a real root has dim Ext^1(M, M) = dim End M - q(x) = 0, so it is the
+    unique indecomposable with that root.  Otherwise the walk runs over F
+    itself."""
+    x = tuple(int(v) for v in x)
+    if any(v < 0 for v in x) or not any(x):
+        raise InvalidInputError("root must be positive")
+    if tits_form(Q, x) != 1:
+        raise InvalidInputError(f"{x} is not a real root")
+    if is_affine(Q) and defect(Q, x) <= 0:
+        raise InvalidInputError(f"{x} is not {kind}")
+    minus_one = F.neg(1)
+    M = Rep(Q, F, x, tuple(np.where(S < 0, minus_one, S) for S in _signed_form(Q, x, kind)))
+    return M if is_brick(M) else _walk(Q, F, x, kind)
 
 
 def build_preprojective(Q: Quiver, F: Field, x) -> Rep:

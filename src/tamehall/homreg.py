@@ -19,15 +19,15 @@ from collections.abc import Iterator
 from .errors import InternalInconsistencyError, InvalidInputError
 from .functors import build_preinjective, tau
 from .gf import Field
-from .quiver import Quiver, defect, is_affine, radical_delta
+from .quiver import Quiver, defect, euler_form, is_affine, radical_delta
 from .reps import (
     Rep,
-    ext1_dim,
     ext_space,
+    hom_basis,
     hom_combination,
     hom_dim,
     is_brick,
-    is_isomorphic,
+    is_injective_morphism,
     middle_term,
     projective_rep,
 )
@@ -61,13 +61,18 @@ def regular_pair(Q: Quiver, F: Field) -> tuple[Rep, Rep]:
     I = build_preinjective(Q, F, rest)
     if hom_dim(I, P) != 0 or hom_dim(P, I) != 0:
         raise InternalInconsistencyError("pair admits unexpected morphisms")
-    if ext1_dim(P, I) != 0:
+    # with Hom(P, I) = 0, dim Ext^1(P, I) = -<P, I>
+    if euler_form(Q, P.dims, I.dims) != 0:
         raise InternalInconsistencyError("pair admits backward extensions")
     return P, I
 
 
 def is_simple_homogeneous(M: Rep) -> bool:
-    """Brick with dimension vector delta, fixed by the translate."""
+    """Brick with dimension vector delta, fixed by the translate.
+
+    For a brick, Hom(tau M, M) is End M = k when tau M is isomorphic to M,
+    so one basis map decides it: tau M = M exactly when Hom(tau M, M) has
+    dimension 1 and its basis map is invertible at every vertex."""
     Q = M.quiver
     if not is_affine(Q):
         return False
@@ -75,7 +80,11 @@ def is_simple_homogeneous(M: Rep) -> bool:
         return False
     if not is_brick(M):
         return False
-    return is_isomorphic(tau(M), M)
+    T = tau(M)
+    if T.dims != M.dims:
+        return False
+    basis = hom_basis(T, M)
+    return len(basis) == 1 and is_injective_morphism(M.field, T, basis[0])
 
 
 def homogeneous_simples(Q: Quiver, F: Field) -> Iterator[tuple[str, Rep]]:

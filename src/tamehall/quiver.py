@@ -88,10 +88,16 @@ class Quiver:
     def outgoing(self, i: int) -> tuple[int, ...]:
         return tuple(a for a, (s, t) in enumerate(self.arrows) if s == i)
 
+    def _check_vertex(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise InvalidInputError(f"vertex {i} is not in 0..{self.n - 1}")
+
     def is_sink(self, i: int) -> bool:
+        self._check_vertex(i)
         return not self.outgoing(i)
 
     def is_source(self, i: int) -> bool:
+        self._check_vertex(i)
         return not self.incoming(i)
 
     def sinks(self) -> tuple[int, ...]:

@@ -52,6 +52,17 @@ def test_reflect_minus_requires_source():
         reflect_minus(M, 1)
 
 
+@pytest.mark.parametrize("i", [-1, 2])
+def test_reflections_reject_vertices_outside_the_quiver(i):
+    F = field(3)
+    with pytest.raises(InvalidInputError, match="not in 0..1"):
+        reflect_plus(simple_rep(K, F, 0), i)
+    with pytest.raises(InvalidInputError, match="not in 0..1"):
+        reflect_minus(simple_rep(K, F, 1), i)
+    with pytest.raises(InvalidInputError, match="not in 0..1"):
+        sigma_reverse(K, i)
+
+
 def test_reflect_plus_kills_simple_at_sink():
     F = field(3)
     S = simple_rep(K, F, 1)
