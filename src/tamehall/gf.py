@@ -4,7 +4,11 @@ Field elements are integer labels 0..q-1.  For prime q the label is the
 residue itself; for q = p^k the label encodes a polynomial c0 + c1*a + ...
 over GF(p) as c0 + c1*p + c2*p^2 + ... where a is a root of the fixed
 irreducible polynomial of the field.  All element-wise operations accept
-numpy arrays and broadcast, so callers can run vectorised eliminations.
+numpy arrays and broadcast; `Field.matmul` and `batched_full_row_rank` are
+built on them.  The scalar elimination `rref`, which `rank`, `kernel_basis`
+and `in_rowspace` go through, runs over Python row lists instead: almost
+every matrix it sees is tiny or sparse, where per-call numpy overhead
+would dominate.
 
 Matrices are plain numpy int64 arrays.  Subspaces of k^n are stored as
 matrices whose rows form a basis in reduced row echelon form; that form is
@@ -127,6 +131,12 @@ class Field:
             self.poly = None
             self._inv_table = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)],
                                        dtype=np.int64)
+        # the tables as nested lists, for the scalar elimination in rref
+        self._inv_list = self._inv_table.tolist()
+        if not self.is_prime:
+            self._add_rows = self._add_table.tolist()
+            self._mul_rows = self._mul_table.tolist()
+            self._neg_list = self._neg_table.tolist()
         if q <= 16:
             self._check_axioms()
 
@@ -213,11 +223,6 @@ class Field:
         return self._neg_table[np.asarray(a, dtype=np.int64)]
 
     def inv(self, a):
-        # scalar pivots (rref) take a Python-int path, without an array round trip
-        if isinstance(a, (int, np.integer)):
-            if a == 0:
-                raise ZeroDivisionError("inversion of 0 in GF(q)")
-            return self._inv_table[int(a)]
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of 0 in GF(q)")
@@ -266,31 +271,54 @@ def field(q: int) -> Field:
 
 def rref(F: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.  Deterministic: the
-    pivot in each column is the first eligible row."""
-    A = np.array(M, dtype=np.int64, copy=True)
+    pivot in each column is the first eligible row.
+
+    Gauss-Jordan over Python row lists, never writing to M.  Each
+    elimination touches only the nonzero entries of the pivot row, which
+    is all zero left of its pivot."""
+    A = np.asarray(M, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("rref expects a 2-d array")
     rows, cols = A.shape
+    R = A.tolist()
+    q, inv, prime = F.q, F._inv_list, F.is_prime
+    if not prime:
+        add, mul, neg = F._add_rows, F._mul_rows, F._neg_list
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        col = A[r:, c]
-        nz = np.nonzero(col != 0)[0]
-        if nz.size == 0:
+        pr = r
+        while pr < rows and not R[pr][c]:
+            pr += 1
+        if pr == rows:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        A[r] = F.mul(A[r], F.inv(A[r, c]))
-        other = np.nonzero(A[:, c] != 0)[0]
-        other = other[other != r]
-        if other.size:
-            A[other] = F.sub(A[other], F.mul(A[other, c][:, None], A[r][None, :]))
+        row = R[pr]
+        R[pr] = R[r]
+        R[r] = row
+        s = inv[row[c]]
+        if s != 1:
+            row[c:] = [x * s % q for x in row[c:]] if prime else [mul[s][x] for x in row[c:]]
+        # (column, minus the pivot row's entry) over its nonzero entries
+        if prime:
+            nz = [(j, q - row[j]) for j in range(c, cols) if row[j]]
+        else:
+            nz = [(j, neg[row[j]]) for j in range(c, cols) if row[j]]
+        for i, Ri in enumerate(R):
+            f = Ri[c]
+            if not f or i == r:
+                continue
+            if prime:
+                for j, y in nz:
+                    Ri[j] = (Ri[j] + f * y) % q
+            else:
+                mf = mul[f]
+                for j, y in nz:
+                    Ri[j] = add[Ri[j]][mf[y]]
         pivots.append(c)
         r += 1
-    return A[:r], tuple(pivots)
+    return np.array(R[:r], dtype=np.int64).reshape(r, cols), tuple(pivots)
 
 
 def rank(F: Field, M: np.ndarray) -> int:
@@ -321,20 +349,12 @@ def kernel_basis(F: Field, M: np.ndarray) -> np.ndarray:
 
 
 def in_rowspace(F: Field, basis_rref: np.ndarray, vectors: np.ndarray) -> bool:
-    """True when every row of `vectors` lies in the span of `basis_rref`
-    (which must be in reduced row echelon form)."""
-    V = np.array(vectors, dtype=np.int64, copy=True)
+    """True when every row of `vectors` lies in the span of `basis_rref`,
+    whose rows must be independent (a reduced row echelon basis is)."""
+    V = np.asarray(vectors, dtype=np.int64)
     if V.size == 0:
         return True
-    for r in range(basis_rref.shape[0]):
-        pc = int(np.nonzero(basis_rref[r] != 0)[0][0]) if basis_rref[r].any() else None
-        if pc is None:
-            continue
-        coeff = V[:, pc]
-        mask = coeff != 0
-        if mask.any():
-            V[mask] = F.sub(V[mask], F.mul(coeff[mask][:, None], basis_rref[r][None, :]))
-    return not V.any()
+    return rank(F, np.concatenate([basis_rref, V])) == basis_rref.shape[0]
 
 
 def quotient_map(F: Field, basis_rref: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

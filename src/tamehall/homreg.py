@@ -26,7 +26,6 @@ from .reps import (
     hom_basis,
     hom_combination,
     hom_dim,
-    is_brick,
     is_injective_morphism,
     middle_term,
     projective_rep,
@@ -70,15 +69,17 @@ def regular_pair(Q: Quiver, F: Field) -> tuple[Rep, Rep]:
 def is_simple_homogeneous(M: Rep) -> bool:
     """Brick with dimension vector delta, fixed by the translate.
 
-    For a brick, Hom(tau M, M) is End M = k when tau M is isomorphic to M,
-    so one basis map decides it: tau M = M exactly when Hom(tau M, M) has
-    dimension 1 and its basis map is invertible at every vertex."""
+    One basis map decides both: the test is that Hom(tau M, M) has
+    dimension 1 and its basis map phi is invertible at every vertex.
+    If M is a brick with tau M = M, then Hom(tau M, M) = End M = k and
+    every nonzero map in it is invertible, so M passes.  Conversely, if
+    M passes, psi -> psi phi is an isomorphism End M -> Hom(tau M, M)
+    (its inverse is composition with phi^-1), so dim End M = 1: M is a
+    brick, and phi is an isomorphism tau M = M."""
     Q = M.quiver
     if not is_affine(Q):
         return False
     if M.dims != radical_delta(Q):
-        return False
-    if not is_brick(M):
         return False
     T = tau(M)
     if T.dims != M.dims:

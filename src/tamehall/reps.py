@@ -281,7 +281,7 @@ def injective_classes(F: Field, X: Rep, basis: list[tuple[np.ndarray, ...]],
 
 def morphism_image(F: Field, phi: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Per-vertex column spaces as reduced row bases."""
-    return tuple(rref(F, mat.T.copy())[0] for mat in phi)
+    return tuple(rref(F, mat.T)[0] for mat in phi)
 
 
 @dataclass
@@ -305,7 +305,7 @@ def ext_space(N: Rep, M: Rep) -> ExtSpace:
     Q, F = M.quiver, M.field
     D, _ = _hom_system(N, M)
     c1 = D.shape[0]
-    _, piv = rref(F, D.T.copy())
+    _, piv = rref(F, D.T)
     dim = c1 - len(piv)
     shapes = [(M.dims[t], N.dims[s]) for s, t in Q.arrows]
     cuts = list(itertools.accumulate(m * n for m, n in shapes))[:-1]
@@ -362,7 +362,7 @@ def sub_rep(M: Rep, spaces) -> Rep:
         U_s, U_t = spaces[s], spaces[t]
         images = F.matmul(M.mats[a], U_s.T)          # columns in the big space
         if U_t.shape[0]:
-            _, piv = rref(F, U_t.copy())
+            _, piv = rref(F, U_t)
             coords = images[list(piv), :]
             # verify the coordinates reproduce the images
             if not np.array_equal(F.matmul(U_t.T, coords), images):

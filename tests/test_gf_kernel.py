@@ -1,0 +1,151 @@
+"""The list-row `rref` and the rank-based `in_rowspace` against the numpy
+eliminations they replaced, kept here as oracles.
+
+Inputs are generated over prime and extension fields: dense matrices of
+every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
+and the End systems of homogeneous modules, the large sparse shape the
+one-sink table ranks.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tamehall.gf import field, in_rowspace, rref
+from tamehall.homreg import homogeneous_simples
+from tamehall.quiver import preset_quiver
+from tamehall.reps import _hom_system
+
+ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _rref_oracle(F, M):
+    """Gauss-Jordan with vectorised numpy row operations."""
+    A = np.array(M, dtype=np.int64, copy=True)
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(A[r:, c] != 0)[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        A[r] = F.mul(A[r], F.inv(A[r, c]))
+        other = np.nonzero(A[:, c] != 0)[0]
+        other = other[other != r]
+        if other.size:
+            A[other] = F.sub(A[other], F.mul(A[other, c][:, None], A[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return A[:r], tuple(pivots)
+
+
+def _in_rowspace_oracle(F, B, V):
+    """Reduce each vector by the rows of the echelon basis B."""
+    V = np.array(V, dtype=np.int64, copy=True)
+    if V.size == 0:
+        return True
+    for row in B:
+        if not row.any():
+            continue
+        pc = int(np.nonzero(row)[0][0])
+        coeff = V[:, pc]
+        mask = coeff != 0
+        if mask.any():
+            V[mask] = F.sub(V[mask], F.mul(coeff[mask][:, None], row[None, :]))
+    return not V.any()
+
+
+def _check_rref(F, M):
+    before = M.copy()
+    R, piv = rref(F, M)
+    want, want_piv = _rref_oracle(F, M)
+    assert np.array_equal(M, before)
+    assert R.dtype == want.dtype == np.int64
+    assert R.shape == want.shape
+    assert np.array_equal(R, want) and piv == want_piv
+    if M.shape[0]:                  # a list of no rows has no column count
+        R_list, piv_list = rref(F, M.tolist())
+        assert R_list.shape == R.shape and np.array_equal(R_list, R) and piv_list == piv
+
+
+@st.composite
+def dense(draw, max_side=12):
+    q = draw(st.sampled_from(ORDERS))
+    r, c = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    flat = draw(st.lists(st.integers(0, q - 1), min_size=r * c, max_size=r * c))
+    return field(q), np.array(flat, dtype=np.int64).reshape(r, c)
+
+
+@st.composite
+def sparse(draw):
+    q = draw(st.sampled_from(ORDERS))
+    r, c = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    M = np.zeros((r, c), dtype=np.int64)
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1),
+                                           st.integers(1, q - 1)), max_size=2 * max(r, c))):
+        M[i, j] = v
+    return field(q), M
+
+
+@lru_cache(maxsize=None)
+def _end_system(name, q):
+    F = field(q)
+    _, M = next(homogeneous_simples(preset_quiver(name), F))
+    return F, _hom_system(M, M)[0]
+
+
+@PROPERTY
+@given(dense())
+def test_rref_matches_numpy_oracle_on_dense_input(case):
+    _check_rref(*case)
+
+
+@PROPERTY
+@given(sparse())
+def test_rref_matches_numpy_oracle_on_sparse_input(case):
+    _check_rref(*case)
+
+
+# over GF(2) all three points of the extension line sit in exceptional tubes
+@settings(PROPERTY, max_examples=40)
+@given(st.sampled_from(("e6tilde", "e7tilde")), st.sampled_from(ORDERS[1:]), st.booleans())
+def test_rref_matches_numpy_oracle_on_end_systems(name, q, transpose):
+    F, D = _end_system(name, q)
+    _check_rref(F, D.T if transpose else D)
+
+
+def test_rref_reads_a_read_only_view():
+    F = field(5)
+    M = np.arange(12, dtype=np.int64).reshape(3, 4) % 5
+    M.flags.writeable = False
+    _check_rref(F, M.T)
+
+
+@PROPERTY
+@given(dense(max_side=8), st.data())
+def test_in_rowspace_matches_numpy_oracle(case, data):
+    F, M = case
+    B, _ = rref(F, M)
+    n = M.shape[1]
+    k = data.draw(st.integers(0, 4))
+    if data.draw(st.booleans()) and B.shape[0]:
+        # combinations of the basis rows, which must lie in the span
+        coeffs = np.array(data.draw(st.lists(st.integers(0, F.q - 1), min_size=k * B.shape[0],
+                                             max_size=k * B.shape[0])),
+                          dtype=np.int64).reshape(k, B.shape[0])
+        V = F.matmul(coeffs, B) if k else F.zeros(0, n)
+    else:
+        V = np.array(data.draw(st.lists(st.integers(0, F.q - 1), min_size=k * n, max_size=k * n)),
+                     dtype=np.int64).reshape(k, n)
+    before = (B.copy(), V.copy())
+    assert in_rowspace(F, B, V) == _in_rowspace_oracle(F, B, V)
+    assert np.array_equal(B, before[0]) and np.array_equal(V, before[1])

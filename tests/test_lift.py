@@ -1,5 +1,5 @@
 """The lifted constructors against the walk they replace, and the one-map
-translate test against the isomorphism scan.
+translate test against the isomorphism scan and the brick test it absorbs.
 
 `build_preinjective` and `build_preprojective` build each module once per
 quiver over GF(3) and lift it into the target field, falling back to the
@@ -31,13 +31,19 @@ from tamehall.quiver import (
     reorient_toward,
 )
 from tamehall.reps import (
+    direct_sum,
     dual,
+    enumerate_subreps,
     ext_space,
+    hom_basis,
     hom_combination,
     is_brick,
+    is_injective_morphism,
     is_isomorphic,
     middle_term,
+    quotient_rep,
     reps_equal,
+    sub_rep,
 )
 
 AFFINE = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde", "e8tilde")
@@ -143,11 +149,24 @@ def test_table_rows_take_no_fallback(name, walks):
     assert all(F.q == 3 for _, F, _, _ in walks)
 
 
+def _brick_and_one_map(M):
+    """The translate test as it was with its End-system rank: a brick whose
+    Hom(tau M, M) has one basis map, invertible at every vertex."""
+    if not is_affine(M.quiver) or M.dims != radical_delta(M.quiver) or not is_brick(M):
+        return False
+    T = tau(M)
+    if T.dims != M.dims:
+        return False
+    basis = hom_basis(T, M)
+    return len(basis) == 1 and is_injective_morphism(M.field, T, basis[0])
+
+
 @pytest.mark.parametrize("name", ("kronecker", "dtilde:4", "dtilde:5", "e6tilde"))
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
 def test_one_map_translate_test_matches_the_isomorphism_scan(name, q):
     """On every brick of the extension line, homogeneous or in an
-    exceptional tube, the one-map test agrees with `is_isomorphic`."""
+    exceptional tube, the one-map test agrees with `is_isomorphic` and with
+    the brick test it absorbs."""
     Q, F = preset_quiver(name), field(q)
     P, I = regular_pair(Q, F)
     ext = ext_space(I, P)
@@ -157,5 +176,47 @@ def test_one_map_translate_test_matches_the_isomorphism_scan(name, q):
     assert len(bricks) == len(points)
     verdicts = [is_simple_homogeneous(E) for E in bricks]
     assert verdicts == [is_isomorphic(tau(E), E) for E in bricks]
+    assert verdicts == [_brick_and_one_map(E) for E in bricks]
     tubes = 0 if name == "kronecker" else 3   # one point in each exceptional tube
     assert verdicts.count(True) == q + 1 - tubes
+
+
+@pytest.mark.parametrize("name", ("kronecker", "dtilde:4", "dtilde:5", "e6tilde"))
+def test_one_map_test_rejects_the_split_extension(name):
+    """P + I, the extension at the zero cocycle, is no brick, and tau P = 0
+    leaves tau M with the wrong dimension vector."""
+    Q, F = preset_quiver(name), field(3)
+    P, I = regular_pair(Q, F)
+    split = middle_term(P, I, tuple(c * 0 for c in ext_space(I, P).cocycles[0]))
+    assert reps_equal(split, direct_sum(P, I))
+    assert not is_simple_homogeneous(split) and not _brick_and_one_map(split)
+
+
+def test_one_map_test_rejects_a_translate_fixed_non_brick():
+    """X + E/X, for E a point of dtilde:4 over GF(3) in a rank-2 exceptional
+    tube and X its regular socle: dimension vector delta and tau M = M (tau
+    swaps the two regular simples), but End M = k^2, and the one-map test
+    sees that as dim Hom(tau M, M) = 2."""
+    Q, F = preset_quiver("dtilde:4"), field(3)
+    P, I = regular_pair(Q, F)
+    ext = ext_space(I, P)
+    line = [middle_term(P, I, hom_combination(F, ext.cocycles, c))
+            for c in [(1, lam) for lam in range(3)] + [(0, 1)]]
+    E = next(E for E in line if not is_simple_homogeneous(E))
+    assert is_brick(E)
+    # a submodule of a regular module has no preinjective summand, so the
+    # proper nonzero ones of defect 0 are regular: here only the socle X
+    socles = [U for U in enumerate_subreps(E)
+              if 0 < sum(u.shape[0] for u in U) < sum(E.dims)
+              and defect(Q, tuple(u.shape[0] for u in U)) == 0]
+    assert len(socles) == 1
+    M = direct_sum(sub_rep(E, socles[0]), quotient_rep(E, socles[0]))
+    assert M.dims == radical_delta(Q)
+    assert is_isomorphic(tau(M), M)
+    assert not is_brick(M)
+    T = tau(M)
+    basis = hom_basis(T, M)
+    assert len(basis) == 2
+    # an invertible map exists, so only the dimension count rejects M
+    assert is_injective_morphism(F, T, hom_combination(F, basis, (1, 1)))
+    assert not is_simple_homogeneous(M) and not _brick_and_one_map(M)
