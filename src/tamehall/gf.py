@@ -428,8 +428,18 @@ def enumerate_subspaces(F: Field, n: int, d: int, budget: int | None = 2_000_000
 def batched_full_row_rank(F: Field, mats: np.ndarray) -> np.ndarray:
     """Boolean mask over a batch of matrices: which have full row rank.
 
-    mats has shape (N, r, c).  Gauss-Jordan by columns with per-matrix
-    pivot bookkeeping; all updates are vectorised across the batch.
+    mats has shape (N, r, c).  Division-free forward elimination by rows
+    (Bareiss-style), vectorised across the batch.  At step k, with p the
+    first nonzero column of row k and a = row_k[p], every later row
+    becomes a * row_i - row_i[p] * row_k, which clears column p below
+    row k.  While a != 0 this is an invertible row operation, so it keeps
+    the rank.  If every row is nonzero when reached, the pivot columns are
+    distinct (each row is zero on the pivot columns above it), and the
+    r x r minor on them is triangular with a nonzero diagonal: full row
+    rank.  A row that is zero when reached shows rank below r; then a = 0
+    and row_k = 0, so every later row becomes zero as well.  Hence the
+    matrix has full row rank exactly when its last row is nonzero once
+    reached, and no per-matrix bookkeeping is needed.
     """
     A = np.array(mats, dtype=np.int64, copy=True)
     N, r, c = A.shape
@@ -437,26 +447,11 @@ def batched_full_row_rank(F: Field, mats: np.ndarray) -> np.ndarray:
         return np.ones(N, dtype=bool)
     if r > c:
         return np.zeros(N, dtype=bool)
-    used = np.zeros((N, r), dtype=bool)
-    npiv = np.zeros(N, dtype=np.int64)
-    for col in range(c):
-        remaining = c - col
-        active = (npiv < r) & (npiv + remaining >= r)
-        if not active.any():
-            break
-        cand = (A[:, :, col] != 0) & ~used
-        sel = active & cand.any(axis=1)
-        idx = np.flatnonzero(sel)
-        if idx.size == 0:
-            continue
-        pr = cand[idx].argmax(axis=1)
-        aux = np.arange(idx.size)
-        piv_rows = A[idx, pr, :]
-        piv_rows = F.mul(piv_rows, F.inv(piv_rows[:, col])[:, None])
-        fac = A[idx, :, col].copy()
-        fac[aux, pr] = 0
-        A[idx] = F.sub(A[idx], F.mul(fac[:, :, None], piv_rows[:, None, :]))
-        A[idx, pr, :] = piv_rows
-        used[idx, pr] = True
-        npiv[idx] += 1
-    return npiv == r
+    i = np.arange(N)
+    for _ in range(r - 1):
+        # A keeps only the rows not yet reached
+        row, below = A[:, 0, :], A[:, 1:, :]
+        p = (row != 0).argmax(axis=1)
+        A = F.sub(F.mul(row[i, p][:, None, None], below),
+                  F.mul(below[i, :, p][:, :, None], row[:, None, :]))
+    return A[:, 0, :].any(axis=1)

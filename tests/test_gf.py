@@ -64,6 +64,27 @@ def test_field_axioms_exhaustive(q):
         assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
 
+@pytest.mark.parametrize("q", FIELD_ORDERS + [11, 13])
+def test_element_ops_broadcast_like_the_scalar_ops(q):
+    # the shapes batched_full_row_rank combines: a pivot per matrix against
+    # a block of rows, and a column against a row
+    F = field(q)
+    rng = np.random.default_rng(q)
+    N, k, c = 5, 3, 4
+    for sa, sb in (((N, 1, 1), (N, k, c)), ((N, k, 1), (N, 1, c))):
+        for x_shape, y_shape in ((sa, sb), (sb, sa)):
+            x, y = rng.integers(0, q, size=x_shape), rng.integers(0, q, size=y_shape)
+            bx, by = np.broadcast_arrays(x, y)
+            for op in (F.add, F.sub, F.mul):
+                got = op(x, y)
+                assert got.dtype == np.int64 and got.shape == (N, k, c)
+                want = [int(op(int(u), int(v))) for u, v in zip(bx.ravel(), by.ravel())]
+                assert got.ravel().tolist() == want
+            got = F.neg(bx)
+            assert got.shape == (N, k, c)
+            assert got.ravel().tolist() == [int(F.neg(int(u))) for u in bx.ravel()]
+
+
 def test_pinned_irreducible_polynomials():
     assert field(4).poly == (1, 1, 1)
     assert field(8).poly == (1, 1, 0, 1)
@@ -246,7 +267,7 @@ def test_in_rowspace():
     assert not in_rowspace(F, B, np.array([[1, 0, 0]]))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_batched_full_row_rank_matches_scalar_rank(q):
     F = field(q)
     rng = random.Random(31 + q)
@@ -254,7 +275,17 @@ def test_batched_full_row_rank_matches_scalar_rank(q):
     for _ in range(300):
         r = rng.randrange(1, 5)
         c = rng.randrange(r, 6)
-        mats.append((r, c, [[rng.randrange(q) for _ in range(c)] for _ in range(r)]))
+        m = [[rng.randrange(q) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.5:
+            # one row a combination of the others, so the rank drops
+            t = rng.randrange(r)
+            coeffs = [rng.randrange(q) for _ in range(r)]
+            acc = F.zeros(c)
+            for k in range(r):
+                if k != t:
+                    acc = F.add(acc, F.mul(coeffs[k], np.array(m[k])))
+            m[t] = acc.tolist()
+        mats.append((r, c, m))
     by_shape: dict[tuple[int, int], list] = {}
     for r, c, m in mats:
         by_shape.setdefault((r, c), []).append(m)

@@ -1,10 +1,12 @@
-"""The list-row `rref` and the rank-based `in_rowspace` against the numpy
-eliminations they replaced, kept here as oracles.
+"""The list-row `rref`, the rank-based `in_rowspace` and the division-free
+`batched_full_row_rank` against the numpy eliminations they replaced, kept
+here as oracles.
 
 Inputs are generated over prime and extension fields: dense matrices of
 every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
-and the End systems of homogeneous modules, the large sparse shape the
-one-sink table ranks.
+the End systems of homogeneous modules, the large sparse shape the
+one-sink table ranks, and batches of up to 60 matrices of at most 4 x 6
+with rank deficiency built in, the shapes the one-sink count tests.
 """
 
 from functools import lru_cache
@@ -13,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tamehall.gf import field, in_rowspace, rref
+from tamehall.gf import batched_full_row_rank, field, in_rowspace, rank, rref
 from tamehall.homreg import homogeneous_simples
 from tamehall.quiver import preset_quiver
 from tamehall.reps import _hom_system
@@ -149,3 +151,85 @@ def test_in_rowspace_matches_numpy_oracle(case, data):
     before = (B.copy(), V.copy())
     assert in_rowspace(F, B, V) == _in_rowspace_oracle(F, B, V)
     assert np.array_equal(B, before[0]) and np.array_equal(V, before[1])
+
+
+def _batched_full_row_rank_oracle(F, mats):
+    """Gauss-Jordan by columns with per-matrix pivot bookkeeping."""
+    A = np.array(mats, dtype=np.int64, copy=True)
+    N, r, c = A.shape
+    if r == 0:
+        return np.ones(N, dtype=bool)
+    if r > c:
+        return np.zeros(N, dtype=bool)
+    used = np.zeros((N, r), dtype=bool)
+    npiv = np.zeros(N, dtype=np.int64)
+    for col in range(c):
+        remaining = c - col
+        active = (npiv < r) & (npiv + remaining >= r)
+        if not active.any():
+            break
+        cand = (A[:, :, col] != 0) & ~used
+        sel = active & cand.any(axis=1)
+        idx = np.flatnonzero(sel)
+        if idx.size == 0:
+            continue
+        pr = cand[idx].argmax(axis=1)
+        aux = np.arange(idx.size)
+        piv_rows = A[idx, pr, :]
+        piv_rows = F.mul(piv_rows, F.inv(piv_rows[:, col])[:, None])
+        fac = A[idx, :, col].copy()
+        fac[aux, pr] = 0
+        A[idx] = F.sub(A[idx], F.mul(fac[:, :, None], piv_rows[:, None, :]))
+        A[idx, pr, :] = piv_rows
+        used[idx, pr] = True
+        npiv[idx] += 1
+    return npiv == r
+
+
+DEFICIENCY = ("random", "combination", "zero", "duplicate")
+
+
+@st.composite
+def batches(draw):
+    """A batch of N <= 60 matrices of one shape r x c (r <= 4, c <= 6,
+    r > c included).  Each matrix may get a row that is a combination of
+    the other rows, a zero row or a duplicate row, and half of them a
+    leading block of zero columns, so that their pivots sit late.  Entries
+    and plans come from byte strings, which keeps a batch cheap to draw."""
+    q = draw(st.sampled_from(ORDERS))
+    F = field(q)
+    n, r, c = draw(st.integers(0, 60)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    raw = draw(st.binary(min_size=n * r * c, max_size=n * r * c))
+    A = (np.frombuffer(raw, dtype=np.uint8).astype(np.int64) % q).reshape(n, r, c)
+    plans = draw(st.binary(min_size=8 * n, max_size=8 * n))
+    for m in range(n):
+        kind, t, s, lead, *coeffs = plans[8 * m:8 * m + 8]
+        kind, t, s = DEFICIENCY[kind % 4], t % max(r, 1), s % max(r, 1)
+        if kind == "zero" and r:
+            A[m, t] = 0
+        elif kind == "duplicate" and s != t:
+            A[m, t] = A[m, s]
+        elif kind == "combination" and r > 1:
+            acc = F.zeros(c)
+            for k in range(r):
+                if k != t:
+                    acc = F.add(acc, F.mul(coeffs[k] % q, A[m, k]))
+            A[m, t] = acc
+        if lead % 2:
+            A[m, :, :min(lead // 2 % 7, c)] = 0
+    return F, A
+
+
+@settings(PROPERTY, max_examples=400)
+@given(batches())
+def test_batched_full_row_rank_matches_gauss_jordan_oracle(case):
+    F, A = case
+    before = A.copy()
+    mask = batched_full_row_rank(F, A)
+    assert np.array_equal(A, before)
+    assert mask.dtype == np.bool_ and mask.shape == (A.shape[0],)
+    assert np.array_equal(mask, _batched_full_row_rank_oracle(F, A))
+    assert mask.tolist() == [rank(F, m) == A.shape[1] for m in A]
+    frozen = A.copy()
+    frozen.setflags(write=False)
+    assert np.array_equal(batched_full_row_rank(F, frozen), mask)
