@@ -53,7 +53,7 @@ def reflect_plus(M: Rep, i: int) -> Rep:
             mats.append(K[:, offs[a]:offs[a] + M.dims[s]].T.copy())
         else:
             mats.append(M.mats[a])
-    return Rep(sigma_reverse(Q, i), F, dims, tuple(mats))
+    return Rep._built(sigma_reverse(Q, i), F, dims, tuple(mats))
 
 
 def reflect_minus(N: Rep, i: int) -> Rep:

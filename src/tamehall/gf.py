@@ -238,7 +238,8 @@ class Field:
             return (A @ B) % self.q
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for k in range(A.shape[1]):
-            out = self.add(out, self.mul(A[:, k:k + 1], B[k:k + 1, :]))
+            # row x of the q x n table is x * B[k]; gather it by A[:, k]
+            out = self._add_table[out, self._mul_table[:, B[k]][A[:, k]]]
         return out
 
     def elements(self) -> range:
@@ -439,9 +440,10 @@ def batched_full_row_rank(F: Field, mats: np.ndarray) -> np.ndarray:
     rank.  A row that is zero when reached shows rank below r; then a = 0
     and row_k = 0, so every later row becomes zero as well.  Hence the
     matrix has full row rank exactly when its last row is nonzero once
-    reached, and no per-matrix bookkeeping is needed.
+    reached, and no per-matrix bookkeeping is needed.  The input is read,
+    never written.
     """
-    A = np.array(mats, dtype=np.int64, copy=True)
+    A = np.asarray(mats, dtype=np.int64)
     N, r, c = A.shape
     if r == 0:
         return np.ones(N, dtype=bool)

@@ -220,13 +220,13 @@ def hall_number_sink_lines(R: Rep, i: int) -> int:
 def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...],
                   cross_check: bool = True) -> list[tuple[int, int]]:
     """One-sink counts over the given fields, one homogeneous module per
-    field (the first by label).  At the smallest field that carries a
-    second homogeneous module, the count is recomputed there and must
-    agree; labels are arbitrary, counts are not.
+    field (the first that `homogeneous_simples` finds).  At the smallest
+    field that carries a second homogeneous module, the count is
+    recomputed there and must agree; labels are arbitrary, counts are not.
 
-    Only the members read are built: the first of each field's family,
-    and the second while the cross-check is still pending (a field with
-    one homogeneous module is then scanned to the end of its line)."""
+    Only the members read are built: the first of each field's scan, and
+    the second while the cross-check is still pending (a field with one
+    homogeneous module is then scanned to the end of its line)."""
     expected = _minus_unit(radical_delta(Q), i)
     out = []
     checked = False

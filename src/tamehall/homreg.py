@@ -7,9 +7,11 @@ that are bricks fixed by the translate form the homogeneous family.
 
 `homogeneous_simples` yields the family lazily, testing each point of the
 line only when the caller asks for the next member: the one-sink table
-reads one or two members per field and the GR check reads one.
-`build_homogeneous_simples` lists the whole family for callers that index
-into it or count it.
+reads one or two members per field and the GR check reads one.  It tests
+the points 0, 1, -1 and infinity last, since the exceptional tubes of the
+D~ and E~ quivers sit at three of them (Dlab-Ringel, Mem. AMS 173, 1976;
+Ringel, LNM 1099, 3.6).  `build_homogeneous_simples` lists the whole
+family in line order, for callers that index into it or count it.
 """
 
 from __future__ import annotations
@@ -89,21 +91,26 @@ def is_simple_homogeneous(M: Rep) -> bool:
 
 
 def homogeneous_simples(Q: Quiver, F: Field) -> Iterator[tuple[str, Rep]]:
-    """The homogeneous regular simples with dimension vector delta, yielded
-    in the order of the extension line they come from: '0', '1', ...,
-    'inf', each labelled by its point.
+    """The homogeneous regular simples with dimension vector delta, each
+    labelled by its point of the extension line: '0', '1', ..., 'inf'.
 
     The projective line of the two-dimensional extension space carries one
     candidate per point; candidates sitting in finite tubes fail the brick
     or translate test and are skipped.  A point is built and tested only
-    when the next member is asked for."""
+    when the next member is asked for.  The scan takes the points other
+    than 0, 1, -1 and 'inf' first, in line order, then 1 and -1, then 0
+    and 'inf', so the exceptional points of the D~ and E~ presets are
+    tested last.  The order decides which member comes first, never which
+    points are members."""
     P, I = regular_pair(Q, F)
     ext = ext_space(I, P)
     if ext.dim != 2:
         raise InternalInconsistencyError(
             f"extension space has dimension {ext.dim}, expected 2")
     lines = [(str(lam), (1, lam)) for lam in range(F.q)] + [("inf", (0, 1))]
-    for label, coeffs in lines:
+    # sort key 0 for the points scanned first; -1 is 1 in characteristic 2
+    late = {"1": 1, str(F.neg(1)): 2, "0": 3, "inf": 3}
+    for label, coeffs in sorted(lines, key=lambda point: late.get(point[0], 0)):
         cocycle = hom_combination(F, ext.cocycles, coeffs)
         E = middle_term(P, I, cocycle)
         if is_simple_homogeneous(E):
@@ -111,6 +118,7 @@ def homogeneous_simples(Q: Quiver, F: Field) -> Iterator[tuple[str, Rep]]:
 
 
 def build_homogeneous_simples(Q: Quiver, F: Field) -> list[tuple[str, Rep]]:
-    """The whole homogeneous family as a list, in `homogeneous_simples`
-    order."""
-    return list(homogeneous_simples(Q, F))
+    """The whole homogeneous family as a list, in line order '0', '1', ...,
+    'inf', whatever order `homogeneous_simples` tests the points in."""
+    return sorted(homogeneous_simples(Q, F),
+                  key=lambda member: F.q if member[0] == "inf" else int(member[0]))

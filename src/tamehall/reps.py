@@ -46,6 +46,17 @@ class Rep:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "mats", tuple(mats))
 
+    @classmethod
+    def _built(cls, quiver: Quiver, field: Field, dims: tuple[int, ...],
+               mats: tuple[np.ndarray, ...]) -> Rep:
+        """A Rep whose parts the package computed itself, without the checks
+        of `__post_init__`.  The caller guarantees what those checks would
+        give: dims a tuple of Python ints, mats a tuple of int64 arrays of
+        shape (dims[t], dims[s]) per arrow s -> t, entries in 0..q-1."""
+        M = object.__new__(cls)
+        M.quiver, M.field, M.dims, M.mats = quiver, field, dims, mats
+        return M
+
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -89,7 +100,7 @@ def dual(M: Rep) -> Rep:
     spaces (in the dual bases) and every arrow matrix transposed.  D is
     an involution, and it swaps sinks with sources, projectives with
     injectives, and the plus and minus reflection functors."""
-    return Rep(opposite(M.quiver), M.field, M.dims, tuple(A.T for A in M.mats))
+    return Rep._built(opposite(M.quiver), M.field, M.dims, tuple(A.T for A in M.mats))
 
 
 # -- projectives and injectives ----------------------------------------

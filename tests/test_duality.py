@@ -3,8 +3,12 @@
 Quivers are random acyclic orientations of the affine presets, of small
 Dynkin diagrams and of the 4-cycle; fields are GF(2..5); modules are
 projectives, injectives and the indecomposables of the real roots
-inside delta (or inside a small box on Dynkin diagrams).
+inside delta (or inside a small box on Dynkin diagrams).  The modules
+that the reflection layer builds without validation are rebuilt here with
+the validating constructor, which serves as their oracle.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -31,7 +35,7 @@ from tamehall.quiver import (
     preset_quiver,
     radical_delta,
 )
-from tamehall.reps import dual, injective_rep, is_isomorphic, projective_rep, reps_equal
+from tamehall.reps import Rep, dual, injective_rep, is_isomorphic, projective_rep, reps_equal
 
 GRAPHS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde", "e8tilde",
           "a:1", "a:2", "a:3", "a:5", "d:4", "d:5", "e:6", "atilde:3")
@@ -126,6 +130,43 @@ def test_reflect_minus_undoes_reflect_plus_at_a_sink(case, data):
         assert N.is_zero()                    # M is S(i), the one summand the functor kills
     else:
         assert is_isomorphic(reflect_minus(N, i), M)
+
+
+@contextmanager
+def _unvalidated_builds():
+    """Collect every module made by `Rep._built` inside the block."""
+    real = Rep.__dict__["_built"]
+    seen = []
+
+    def record(cls, *parts):
+        M = real.__func__(cls, *parts)
+        seen.append(M)
+        return M
+
+    Rep._built = classmethod(record)
+    try:
+        yield seen
+    finally:
+        Rep._built = real
+
+
+@PROPERTY
+@given(modules())
+def test_unvalidated_builds_pass_validation(case):
+    Q, M = case
+    with _unvalidated_builds() as seen:
+        dual(M)
+        tau(M)
+        tau_minus(M)
+        for i in Q.sinks():
+            reflect_plus(M, i)
+        for i in Q.sources():
+            reflect_minus(M, i)
+    assert seen
+    for N in seen:
+        assert type(N.dims) is tuple and all(type(d) is int for d in N.dims)
+        assert type(N.mats) is tuple and all(A.dtype == np.int64 for A in N.mats)
+        assert reps_equal(Rep(N.quiver, N.field, N.dims, N.mats), N)
 
 
 def _path_counts(Q):

@@ -1,6 +1,6 @@
 """The list-row `rref`, the rank-based `in_rowspace` and the division-free
 `batched_full_row_rank` against the numpy eliminations they replaced, kept
-here as oracles.
+here as oracles, and `Field.matmul` against a scalar triple loop.
 
 Inputs are generated over prime and extension fields: dense matrices of
 every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
@@ -233,3 +233,36 @@ def test_batched_full_row_rank_matches_gauss_jordan_oracle(case):
     frozen = A.copy()
     frozen.setflags(write=False)
     assert np.array_equal(batched_full_row_rank(F, frozen), mask)
+
+
+def _matmul_oracle(F, A, B):
+    """Sum over k of A[i, k] * B[k, j], one scalar field operation at a time."""
+    out = F.zeros(A.shape[0], B.shape[1])
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for k in range(A.shape[1]):
+                acc = int(F.add(acc, F.mul(int(A[i, k]), int(B[k, j]))))
+            out[i, j] = acc
+    return out
+
+
+@st.composite
+def products(draw):
+    """(F, A, B) with A m x k and B k x n, every side 0..7."""
+    q = draw(st.sampled_from(ORDERS))
+    m, k, n = (draw(st.integers(0, 7)) for _ in range(3))
+    raw = draw(st.binary(min_size=m * k + k * n, max_size=m * k + k * n))
+    flat = np.frombuffer(raw, dtype=np.uint8).astype(np.int64) % q
+    return field(q), flat[:m * k].reshape(m, k), flat[m * k:].reshape(k, n)
+
+
+@PROPERTY
+@given(products())
+def test_matmul_matches_scalar_triple_loop(case):
+    F, A, B = case
+    before = (A.copy(), B.copy())
+    C = F.matmul(A, B)
+    assert C.dtype == np.int64 and C.shape == (A.shape[0], B.shape[1])
+    assert np.array_equal(C, _matmul_oracle(F, A, B))
+    assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
