@@ -115,15 +115,35 @@ def _signed_form(Q: Quiver, x: tuple[int, ...], kind: str) -> tuple[np.ndarray, 
     return tuple(mats)
 
 
+def _lift(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
+    """The signed form of x mapped into F: -1 becomes the label of -1."""
+    minus_one = F.neg(1)
+    return Rep(Q, F, x, tuple(np.where(S < 0, minus_one, S) for S in _signed_form(Q, x, kind)))
+
+
+@lru_cache(maxsize=None)
+def _lift_is_brick(Q: Quiver, x: tuple[int, ...], kind: str, p: int) -> bool:
+    """Whether the lift of x into GF(p^k) is a brick, for every k.
+
+    The lift has entries 0, 1 and p - 1, which are the labels of the
+    prime field GF(p) inside every GF(p^k), so its End system is one
+    matrix over GF(p) whatever k is; rank does not change under a field
+    extension, so dim End is the same over GF(p^k) as over GF(p).  At
+    p = 3 the lift is the GF(3) walk itself, whose module is
+    indecomposable preinjective, so a brick, and needs no check."""
+    return p == 3 or is_brick(_lift(Q, field(p), x, kind))
+
+
 def _preinjective(Q: Quiver, F: Field, x, kind: str) -> Rep:
     """Indecomposable with preinjective real root x of Q.
 
     The module is walked once per quiver over GF(3) and lifted into F,
     since exceptional modules have bases with coefficients 0 and +-1
     (Ringel, "Exceptional modules are tree modules", 1998).  The lift is
-    kept only if it is a brick in F: a brick M whose dimension vector is
-    a real root has dim Ext^1(M, M) = dim End M - q(x) = 0, so it is the
-    unique indecomposable with that root.  Otherwise the walk runs over F
+    kept only if it is a brick in F, which `_lift_is_brick` decides once
+    per characteristic: a brick M whose dimension vector is a real root
+    has dim Ext^1(M, M) = dim End M - q(x) = 0, so it is the unique
+    indecomposable with that root.  Otherwise the walk runs over F
     itself."""
     x = tuple(int(v) for v in x)
     if any(v < 0 for v in x) or not any(x):
@@ -132,9 +152,9 @@ def _preinjective(Q: Quiver, F: Field, x, kind: str) -> Rep:
         raise InvalidInputError(f"{x} is not a real root")
     if is_affine(Q) and defect(Q, x) <= 0:
         raise InvalidInputError(f"{x} is not {kind}")
-    minus_one = F.neg(1)
-    M = Rep(Q, F, x, tuple(np.where(S < 0, minus_one, S) for S in _signed_form(Q, x, kind)))
-    return M if is_brick(M) else _walk(Q, F, x, kind)
+    if _lift_is_brick(Q, x, kind, F.p):
+        return _lift(Q, F, x, kind)
+    return _walk(Q, F, x, kind)
 
 
 def build_preprojective(Q: Quiver, F: Field, x) -> Rep:

@@ -457,3 +457,49 @@ def batched_full_row_rank(F: Field, mats: np.ndarray) -> np.ndarray:
         A = F.sub(F.mul(row[i, p][:, None, None], below),
                   F.mul(below[i, :, p][:, :, None], row[:, None, :]))
     return A[:, 0, :].any(axis=1)
+
+
+# Most entries in one block of `scalar_class_images`.
+_IMAGE_BLOCK_ENTRIES = 1 << 17
+
+
+def _prefix_sums(F: Field, mult: list[np.ndarray], base: np.ndarray, ks: range):
+    """Yield base + sum_k c_k S[k] over every (c_k) in GF(q)^ks, where
+    mult[k][x] = x * S[k]; one vector addition per node of the recursion."""
+    if not ks:
+        yield base
+        return
+    for row in mult[ks[0]]:
+        yield from _prefix_sums(F, mult, F.add(base, row), ks[1:])
+
+
+def scalar_class_images(F: Field, S: np.ndarray):
+    """Yield blocks of the images c S, one row per scalar class c of the
+    nonzero vectors of GF(q)^h (first nonzero coordinate 1), each class
+    exactly once and in no promised order.
+
+    S is h x W, read and never written.  The class with its 1 at `lead`
+    has image S[lead] + sum_{k > lead} c_k S[k].  The last L coordinates
+    form a product-set table T_L of every sum_{k >= h - L} c_k S[k], built
+    by T_{l+1} = {x S[h-l-1] + t : x in GF(q), t in T_l} from the q x W
+    tables of multiples of each row; a block is T_l plus one prefix (the
+    1 at `lead` and the coordinates between it and the table), so each
+    image entry costs one field addition.  L is the largest with
+    q^L * W <= _IMAGE_BLOCK_ENTRIES: no block holds more entries than
+    that, unless a single row does.
+    """
+    S = np.asarray(S, dtype=np.int64)
+    h, W = S.shape
+    q = F.q
+    mult = [F.mul(np.arange(q)[:, None], row[None, :]) for row in S]
+    max_rows = max(1, _IMAGE_BLOCK_ENTRIES // max(W, 1))
+    tables = [F.zeros(1, W)]
+    while len(tables) < h and tables[-1].shape[0] * q <= max_rows:
+        k = h - len(tables)
+        rows = q * tables[-1].shape[0]
+        tables.append(F.add(mult[k][:, None], tables[-1][None]).reshape(rows, W))
+    L = len(tables) - 1
+    for lead in range(h):
+        low = min(L, h - lead - 1)
+        for prefix in _prefix_sums(F, mult, S[lead], range(lead + 1, h - low)):
+            yield F.add(tables[low], prefix[None])

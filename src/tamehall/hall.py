@@ -26,7 +26,13 @@ from .errors import (
 from fractions import Fraction
 
 from .functors import build_preinjective
-from .gf import _factor_prime_power, batched_full_row_rank, enumerate_subspaces, field
+from .gf import (
+    _factor_prime_power,
+    batched_full_row_rank,
+    enumerate_subspaces,
+    field,
+    scalar_class_images,
+)
 # Kept bound although unused: bench/test_bench_tracer.py expects hall and gr to share it.
 from .homreg import build_homogeneous_simples  # noqa: F401
 from .homreg import homogeneous_simples
@@ -38,7 +44,6 @@ from .reps import (
     hom_basis,
     is_isomorphic,
     quotient_rep,
-    scalar_class_blocks,
     sub_rep,
     top_projection,
 )
@@ -163,6 +168,14 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     t_j = dim top(I)_j) has full row rank at every vertex with t_j > 0.
     The count equals the one that checks every phi_j on all of I_j, on
     fewer and smaller matrices.
+
+    The classes are enumerated by `scalar_class_images` on S, the h x W
+    concatenation of the per-vertex rows pi_j phi_k (flattened): each
+    block holds the composites c S of a set of classes c at every vertex
+    at once, and each vertex reads its columns.  A vertex with t_j = 1 is
+    a nonzero test on the whole block; one with t_j >= 2 goes through
+    `batched_full_row_rank` on the classes still alive.  The count does
+    not depend on the order of the classes.
     """
     delta = _check_sink_instance(R, i)
     if I_expected.dims != _minus_unit(delta, i) or I_expected.field != R.field or I_expected.quiver != R.quiver:
@@ -181,21 +194,26 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     if not order:
         raise InternalInconsistencyError("expected quotient is nonzero but its top is zero")
     order.sort(key=lambda j: (tops[j], delta[j], j))
-    # each vertex's basis maps, composed with pi_j, as the rows of an
-    # (h, t*r) matrix, so every combination in a block is one row of a
-    # single field product
-    stacks = {j: np.stack([F.matmul(pi[j], phi[j]).reshape(-1) for phi in basis])
-              for j in order}
+    # row k holds pi_j phi_j of the k-th basis map, flattened, for every j
+    # in order: the image c S of a class c is its composite at all vertices
+    S = np.concatenate([np.stack([F.matmul(pi[j], phi[j]).reshape(-1) for phi in basis])
+                        for j in order], axis=1)
+    spans, lo = [], 0
+    for j in order:
+        spans.append((j, slice(lo, lo + tops[j] * delta[j])))
+        lo += tops[j] * delta[j]
     total = 0
-    for block in scalar_class_blocks(F.q, h):
+    for block in scalar_class_images(F, S):
         alive = np.ones(block.shape[0], dtype=bool)
-        for j in order:
+        for j, cols in spans:
+            if tops[j] == 1:
+                alive &= block[:, cols].any(axis=1)
+                continue
             live = np.flatnonzero(alive)
             if live.size == 0:
                 break
-            mats = F.matmul(block[live], stacks[j]).reshape(live.size, tops[j], delta[j])
-            ok = batched_full_row_rank(F, mats)
-            alive[live[~ok]] = False
+            mats = block[live, cols].reshape(live.size, tops[j], delta[j])
+            alive[live[~batched_full_row_rank(F, mats)]] = False
         total += int(alive.sum())
     return total
 

@@ -271,12 +271,18 @@ def tits_form(Q: Quiver, a) -> int:
 @lru_cache(maxsize=None)
 def radical_delta(Q: Quiver) -> DimVector:
     """Positive integer generator of the radical of the symmetrised Euler
-    form.  Defined exactly for affine quivers."""
-    n = Q.n
+    form.  Defined exactly for affine quivers.  The symmetrised form does
+    not see orientation, so the generator is computed once per underlying
+    graph; the cache per quiver keeps a repeated call to one lookup."""
+    return _graph_radical(Q.n, tuple(sorted(Q.underlying_edges())))
+
+
+@lru_cache(maxsize=None)
+def _graph_radical(n: int, edges: tuple[tuple[int, int], ...]) -> DimVector:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = Fraction(2)
-    for s, t in Q.arrows:
+    for s, t in edges:
         rows[s][t] -= 1
         rows[t][s] -= 1
     # rational kernel by Gaussian elimination

@@ -1,6 +1,9 @@
 """The list-row `rref`, the rank-based `in_rowspace` and the division-free
 `batched_full_row_rank` against the numpy eliminations they replaced, kept
-here as oracles, and `Field.matmul` against a scalar triple loop.
+here as oracles, `Field.matmul` against a scalar triple loop, and the
+product-set `scalar_class_images` against a field product over
+`scalar_class_blocks`, with the one-sink count's per-vertex loop it
+replaced.
 
 Inputs are generated over prime and extension fields: dense matrices of
 every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
@@ -12,13 +15,24 @@ with rank deficiency built in, the shapes the one-sink count tests.
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from tamehall.gf import batched_full_row_rank, field, in_rowspace, rank, rref
+from tamehall import gf
+from tamehall.functors import build_preinjective
+from tamehall.gf import (
+    batched_full_row_rank,
+    field,
+    in_rowspace,
+    rank,
+    rref,
+    scalar_class_images,
+)
+from tamehall.hall import _minus_unit, hall_number_sink_fast
 from tamehall.homreg import homogeneous_simples
-from tamehall.quiver import preset_quiver
-from tamehall.reps import _hom_system
+from tamehall.quiver import preset_quiver, radical_delta, reorient_toward
+from tamehall.reps import _hom_system, hom_basis, scalar_class_blocks, top_projection
 
 ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -266,3 +280,92 @@ def test_matmul_matches_scalar_triple_loop(case):
     assert C.dtype == np.int64 and C.shape == (A.shape[0], B.shape[1])
     assert np.array_equal(C, _matmul_oracle(F, A, B))
     assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
+
+
+@st.composite
+def class_images(draw):
+    """(F, S, cap) with S h x W (h 0..6, W 0..9), some of its rows zero or
+    duplicates of others, and a block cap that is the real one or small
+    enough that a block holds a few rows (or none fits a single row)."""
+    q = draw(st.sampled_from(ORDERS))
+    cap = draw(st.sampled_from((gf._IMAGE_BLOCK_ENTRIES, 1, 7, 40, 300)))
+    # a small cap makes a block per few classes: keep those to 2,000 classes
+    h_max = 6 if cap == gf._IMAGE_BLOCK_ENTRIES else max(h for h in range(7) if q ** h <= 2000 * q)
+    h, W = draw(st.integers(0, h_max)), draw(st.integers(0, 9))
+    raw = draw(st.binary(min_size=h * W, max_size=h * W))
+    S = (np.frombuffer(raw, dtype=np.uint8).astype(np.int64) % q).reshape(h, W)
+    for k, (kind, src) in enumerate(draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)),
+                                                  min_size=h, max_size=h))):
+        if kind == 1:
+            S[k] = 0
+        elif kind == 2:
+            S[k] = S[src % h]
+    return field(q), S, cap
+
+
+def _sorted_rows(M):
+    return M[np.lexsort(M.T[::-1])] if M.shape[1] else M
+
+
+@PROPERTY
+@given(class_images())
+def test_scalar_class_images_match_products_over_class_blocks(case):
+    F, S, cap = case
+    h, W = S.shape
+    before = S.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "_IMAGE_BLOCK_ENTRIES", cap)
+        blocks = list(scalar_class_images(F, S))
+        frozen = S.copy()
+        frozen.setflags(write=False)
+        again = list(scalar_class_images(F, frozen))
+    assert np.array_equal(S, before)
+    for block in blocks:
+        assert block.dtype == np.int64 and block.ndim == 2 and block.shape[1] == W
+        assert block.size <= cap or block.shape[0] == 1
+    got = np.concatenate(blocks) if blocks else F.zeros(0, W)
+    want = [F.matmul(c, S) for c in scalar_class_blocks(F.q, h)]
+    want = np.concatenate(want) if want else F.zeros(0, W)
+    assert got.shape == want.shape == ((F.q ** h - 1) // (F.q - 1), W)
+    assert np.array_equal(_sorted_rows(got), _sorted_rows(want))
+    assert len(again) == len(blocks) and all(map(np.array_equal, again, blocks))
+    event("a lead over several blocks" if len(blocks) > h else "one block per lead")
+
+
+def _per_vertex_count(R, I):
+    """The one-sink count as it was before `scalar_class_images`: for each
+    coefficient block, one field product per vertex on the classes still
+    alive, then the batched rank test there."""
+    F, delta = R.field, R.dims
+    basis = hom_basis(R, I)
+    pi = top_projection(I)
+    tops = [p.shape[0] for p in pi]
+    order = sorted((j for j in range(R.quiver.n) if tops[j]), key=lambda j: (tops[j], delta[j], j))
+    stacks = {j: np.stack([F.matmul(pi[j], phi[j]).reshape(-1) for phi in basis])
+              for j in order}
+    total = 0
+    for block in scalar_class_blocks(F.q, len(basis)):
+        alive = np.ones(block.shape[0], dtype=bool)
+        for j in order:
+            live = np.flatnonzero(alive)
+            if live.size == 0:
+                break
+            mats = F.matmul(block[live], stacks[j]).reshape(live.size, tops[j], delta[j])
+            alive[live[~batched_full_row_rank(F, mats)]] = False
+        total += int(alive.sum())
+    return total
+
+
+@pytest.mark.parametrize("q", (8, 9))
+def test_sink_count_matches_the_per_vertex_loop_in_small_blocks(q, monkeypatch):
+    """e8tilde m = 5: with the block cap at 2,048 entries (64 of the 31-wide
+    rows), the classes led by the first coordinates come as many prefixes
+    of one product-set table."""
+    Q = preset_quiver("e8tilde")
+    i = radical_delta(Q).index(5)
+    Qi, F = reorient_toward(Q, i), field(q)
+    R = next(homogeneous_simples(Qi, F))[1]
+    I = build_preinjective(Qi, F, _minus_unit(radical_delta(Qi), i))
+    whole = hall_number_sink_fast(R, i, I)
+    monkeypatch.setattr(gf, "_IMAGE_BLOCK_ENTRIES", 2048)
+    assert hall_number_sink_fast(R, i, I) == whole == _per_vertex_count(R, I)

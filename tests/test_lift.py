@@ -115,6 +115,10 @@ def test_lift_that_is_no_brick_falls_back_to_the_walk(monkeypatch, walks):
     walks.clear()                             # the GF(3) walk behind `real`
     # zero one arrow: the lift splits into two summands
     monkeypatch.setattr(functors, "_signed_form", lambda *a: (real[0] * 0,) + real[1:])
+    # the brick verdicts are kept per characteristic: start from none, so
+    # that an earlier verdict on the real form is not read
+    monkeypatch.setattr(functors, "_lift_is_brick",
+                        lru_cache(maxsize=None)(functors._lift_is_brick.__wrapped__))
     M = build_preinjective(Q, F, x)
     assert [w[1] for w in walks] == [F]
     assert reps_equal(M, _walked(Q, F, x, "preinjective"))
@@ -147,6 +151,24 @@ def test_table_rows_take_no_fallback(name, walks):
             build_preinjective(Qi, F, _minus_unit(radical_delta(Qi), i))
     assert len(walks) == functors._signed_form.cache_info().misses - misses
     assert all(F.q == 3 for _, F, _, _ in walks)
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_lift_brick_verdict_depends_on_the_characteristic_only(name):
+    """The lift has prime-field entries, so its End system has the same
+    rank over GF(p^k) as over GF(p): on every preinjective a table row
+    builds, the verdict over GF(4), GF(8) and GF(9) is the one over GF(2)
+    and GF(3), and over GF(3) the lift is the GF(3) walk itself."""
+    Q = preset_quiver(name)
+    delta = radical_delta(Q)
+    for m in sorted(set(delta)):
+        i = delta.index(m)
+        Qi = reorient_toward(Q, i)
+        for x in (_minus_unit(radical_delta(Qi), i), regular_pair(Qi, field(3))[1].dims):
+            lift = {q: functors._lift(Qi, field(q), x, "preinjective") for q in (2, 3, 4, 8, 9)}
+            assert is_brick(lift[4]) == is_brick(lift[8]) == is_brick(lift[2])
+            assert is_brick(lift[9]) == is_brick(lift[3])
+            assert reps_equal(lift[3], functors._walk(Qi, field(3), x, "preinjective"))
 
 
 def _brick_and_one_map(M):
