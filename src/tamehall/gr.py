@@ -105,20 +105,6 @@ def starts_with(I, J) -> bool:
     return not a or max(a) < min(sb - sa)
 
 
-# -- monomorphism scans -------------------------------------------------
-
-
-def _mono_classes(X: Rep, Y: Rep):
-    """Yield (phi, coeffs) for every scalar class of monomorphisms X -> Y."""
-    return injective_classes(X.field, X, hom_basis(X, Y))
-
-
-def _mono_exists(X: Rep, Y: Rep) -> bool:
-    for _ in _mono_classes(X, Y):
-        return True
-    return False
-
-
 # -- root-combinatorics engine -----------------------------------------
 
 @lru_cache(maxsize=None)
@@ -126,9 +112,9 @@ def _root_module(Q: Quiver, F: Field, x: tuple[int, ...]) -> Rep:
     return build_preprojective(Q, F, x)
 
 
-def _preproj_roots_inside(Q: Quiver, box) -> list:
-    roots = positive_real_roots(Q, box)
-    return [x for x in roots if defect(Q, x) < 0]
+@lru_cache(maxsize=None)
+def _preproj_roots_inside(Q: Quiver, box: tuple[int, ...]) -> tuple:
+    return tuple(x for x in positive_real_roots(Q, box) if defect(Q, x) < 0)
 
 
 @lru_cache(maxsize=None)
@@ -137,25 +123,39 @@ def _root_measure(Q: Quiver, F: Field, x: tuple[int, ...]) -> Measure:
     return _measure_over_roots(_root_module(Q, F, x))
 
 
+def _embedded_roots(M: Rep):
+    """Yield (d, X, basis) for every preprojective root d below dim M whose
+    module X embeds in M, with basis a basis of Hom(X, M)."""
+    Q, F = M.quiver, M.field
+    for d in _preproj_roots_inside(Q, M.dims):
+        if d == M.dims:
+            continue
+        X = _root_module(Q, F, d)
+        basis = hom_basis(X, M)
+        if basis and next(injective_classes(F, X, basis), None) is not None:
+            yield d, X, basis
+
+
 def _measure_over_roots(M: Rep) -> Measure:
     """Measure of M when every indecomposable submodule is known to be a
     preprojective root module: homogeneous modules and preprojective
     bricks on an affine quiver."""
     Q, F = M.quiver, M.field
-    best: Measure = ()
-    for d in _preproj_roots_inside(Q, M.dims):
-        if tuple(d) == M.dims:
-            continue
-        X = _root_module(Q, F, d)
-        if hom_dim(X, M) == 0 or not _mono_exists(X, M):
-            continue
-        m = _root_measure(Q, F, d)
-        if not best or measure_less(best, m):
-            best = m
-    return best + (sum(M.dims),)
+    measures = [_root_measure(Q, F, d) for d, _, _ in _embedded_roots(M)]
+    return (max_measure(measures) if measures else ()) + (sum(M.dims),)
 
 
-def _root_engine_applies(M: Rep) -> bool:
+def _uses_root_engine(M: Rep) -> bool:
+    """Reject a module outside the measure search's range; otherwise say
+    whether the root engine handles it (else the exhaustive engine does)."""
+    if sum(M.dims) == 0:
+        raise InvalidInputError("the zero module has no measure")
+    if sum(M.dims) > MAX_AMBIENT:
+        raise InfeasibleEnumerationError(
+            f"module length {sum(M.dims)} above supported {MAX_AMBIENT}",
+            needed=sum(M.dims), budget=MAX_AMBIENT)
+    if M.field.q > MAX_FIELD:
+        raise InvalidInputError(f"measure search supports q <= {MAX_FIELD}")
     Q = M.quiver
     if not is_affine(Q):
         return False
@@ -182,8 +182,14 @@ def is_indecomposable(M: Rep, budget: int = 2_000_000) -> bool:
     """No idempotent endomorphisms besides 0 and the identity."""
     if sum(M.dims) == 0:
         return False
-    if end_dim(M) == 1:
-        return True
+    return _indecomposable_given_end(M, end_dim(M), budget)
+
+
+def _indecomposable_given_end(M: Rep, e: int, budget: int = 2_000_000) -> bool:
+    """is_indecomposable for a module M whose End(M) has dimension e
+    (0 exactly when M is zero)."""
+    if e <= 1:
+        return e == 1
     basis = hom_basis(M, M)
     F = M.field
     if F.q ** len(basis) > budget:
@@ -234,15 +240,7 @@ def _rep_measure(M: Rep, budget: int) -> Measure:
 def gr_measure(M: Rep, budget: int = 2_000_000) -> Measure:
     """Best chain of indecomposable submodules of M, as the increasing
     tuple of their lengths."""
-    if sum(M.dims) == 0:
-        raise InvalidInputError("the zero module has no measure")
-    if sum(M.dims) > MAX_AMBIENT:
-        raise InfeasibleEnumerationError(
-            f"module length {sum(M.dims)} above supported {MAX_AMBIENT}",
-            needed=sum(M.dims), budget=MAX_AMBIENT)
-    if M.field.q > MAX_FIELD:
-        raise InvalidInputError(f"measure search supports q <= {MAX_FIELD}")
-    if _root_engine_applies(M):
+    if _uses_root_engine(M):
         return _measure_over_roots(M)
     return _rep_measure(M, budget)
 
@@ -250,19 +248,17 @@ def gr_measure(M: Rep, budget: int = 2_000_000) -> Measure:
 def gr_submodules(M: Rep, budget: int = 2_000_000) -> list[SubrepWitness]:
     """All indecomposable submodules X with gr_measure(M) equal to
     gr_measure(X) extended by the length of M."""
-    mu = gr_measure(M, budget)
-    target = mu[:-1]
-    if not target:
-        return []
     Q, F = M.quiver, M.field
     out = []
-    seen = set()
-    if _root_engine_applies(M):
-        for d in _preproj_roots_inside(Q, M.dims):
-            if tuple(d) == M.dims or _root_measure(Q, F, d) != target:
+    if _uses_root_engine(M):
+        roots = list(_embedded_roots(M))
+        measures = [_root_measure(Q, F, d) for d, _, _ in roots]
+        target = max_measure(measures) if measures else ()
+        seen = set()
+        for (d, X, basis), m in zip(roots, measures):
+            if m != target:
                 continue
-            X = _root_module(Q, F, d)
-            for phi, _ in _mono_classes(X, M):
+            for phi, _ in injective_classes(F, X, basis):
                 spaces = morphism_image(F, phi)
                 key = tuple(U.tobytes() for U in spaces)
                 if key in seen:
@@ -271,6 +267,9 @@ def gr_submodules(M: Rep, budget: int = 2_000_000) -> list[SubrepWitness]:
                 seen.add(key)
                 out.append(subrep_witness(M, spaces))
     else:
+        target = _rep_measure(M, budget)[:-1]
+        if not target:
+            return []
         for spaces in enumerate_subreps(M, budget=budget):
             d = tuple(int(U.shape[0]) for U in spaces)
             if sum(d) == 0 or d == M.dims:
@@ -314,13 +313,13 @@ def count_submodules_report(X: Rep, Y: Rep, budget: int = 2_000_000) -> Submodul
     set and the radical.  Both counts must agree."""
     if X.quiver != Y.quiver or X.field != Y.field:
         raise InvalidInputError("modules must share a quiver and field")
-    if not is_indecomposable(X) or not is_indecomposable(Y):
+    e = end_dim(X)
+    if not _indecomposable_given_end(X, e) or not is_indecomposable(Y):
         raise InvalidInputError("count report needs indecomposable modules")
     F = X.field
     q = F.q
     basis = hom_basis(X, Y)
     h = len(basis)
-    e = end_dim(X)
     if q ** h > budget or q ** e > budget:
         raise InfeasibleEnumerationError(
             "hom or endomorphism space too large to enumerate",

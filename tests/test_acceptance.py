@@ -23,7 +23,6 @@ from tamehall.functors import (
 )
 from tamehall.gf import enumerate_subspaces, field, gaussian_binomial
 from tamehall.gr import (
-    _mono_classes,
     _root_measure,
     compare_measures,
     count_submodules_report,
@@ -64,7 +63,9 @@ from tamehall.reps import (
     direct_sum,
     enumerate_subreps,
     ext_space,
+    hom_basis,
     hom_combination,
+    injective_classes,
     injective_rep,
     is_injective_morphism,
     is_isomorphic,
@@ -539,7 +540,7 @@ def test_criterion_9_property_suites():
         if not starts_with(gr_measure(X), target):
             continue
         Y = direct_sum(Y1, Y2)
-        for phi, _ in _mono_classes(X, Y):
+        for phi, _ in injective_classes(F2, X, hom_basis(X, Y)):
             top = tuple(phi[j][:Y1.dims[j], :] for j in range(5))
             bot = tuple(phi[j][Y1.dims[j]:, :] for j in range(5))
             if not (is_injective_morphism(F2, X, top)

@@ -10,7 +10,6 @@ from tamehall.errors import (
 from tamehall.functors import build_preinjective, build_preprojective
 from tamehall.gf import field
 from tamehall.gr import (
-    _mono_classes,
     _rep_measure,
     _root_measure,
     as_measure,
@@ -27,13 +26,17 @@ from tamehall.gr import (
 from tamehall.homreg import build_homogeneous_simples
 from tamehall.quiver import defect, positive_real_roots, preset_quiver, radical_delta
 from tamehall.reps import (
+    Rep,
     direct_sum,
+    hom_basis,
     hom_combination,
+    injective_classes,
     is_brick,
     is_injective_morphism,
     is_isomorphic,
     projective_rep,
     simple_rep,
+    zero_rep,
 )
 
 K = preset_quiver("kronecker")
@@ -172,6 +175,21 @@ def test_measure_rejects_oversize_inputs():
                    (F.zeros(0, 0), F.zeros(0, 0))))
 
 
+def test_gr_submodules_rejects_what_gr_measure_rejects():
+    F = field(3)
+    R = build_homogeneous_simples(D4, F)[0][1]
+    cases = [(zero_rep(K, F), InvalidInputError),
+             (direct_sum(direct_sum(R, R), R), InfeasibleEnumerationError),
+             (simple_rep(K, field(7), 0), InvalidInputError)]
+    for M, kind in cases:
+        raised = []
+        for entry in (gr_measure, gr_submodules):
+            with pytest.raises(kind) as info:
+                entry(M)
+            raised.append((type(info.value), str(info.value), vars(info.value)))
+        assert raised[0] == raised[1] and raised[0][0] is kind
+
+
 # -------------------------------------------------------------- submodules
 
 
@@ -246,11 +264,25 @@ def test_count_report_dtilde4_regular_pair():
     assert rep.h > rep.s >= rep.r and rep.e > rep.r
 
 
+def test_count_report_non_brick_indecomposable():
+    # The Kronecker regular of quasi-length 2 at the point 0 has End of
+    # dimension 2; it sits once in itself and once in quasi-length 3.
+    F = field(3)
+    J2, J3 = np.eye(2, k=1, dtype=np.int64), np.eye(3, k=1, dtype=np.int64)
+    X = Rep(K, F, (2, 2), (np.eye(2, dtype=np.int64), J2))
+    Y = Rep(K, F, (3, 3), (np.eye(3, dtype=np.int64), J3))
+    for ambient in (X, Y):
+        rep = count_submodules_report(X, ambient)
+        assert (rep.u, rep.h, rep.s, rep.e, rep.r, rep.u_brute) == (1, 2, 1, 2, 1, 1)
+
+
 def test_count_report_rejects_decomposable():
     F = field(3)
     S = simple_rep(K, F, 1)
     with pytest.raises(InvalidInputError):
         count_submodules_report(direct_sum(S, S), projective_rep(K, F, 0))
+    with pytest.raises(InvalidInputError):
+        count_submodules_report(zero_rep(K, F), S)
 
 
 # ------------------------------------------------------------ verification
@@ -351,7 +383,7 @@ def test_mono_into_sum_has_injective_projection():
         if not starts_with(gr_measure(X), target):
             continue
         Y = direct_sum(Y1, Y2)
-        for phi, _ in _mono_classes(X, Y):
+        for phi, _ in injective_classes(F, X, hom_basis(X, Y)):
             top = tuple(phi[j][:Y1.dims[j], :] for j in range(5))
             bot = tuple(phi[j][Y1.dims[j]:, :] for j in range(5))
             assert (is_injective_morphism(F, X, top)
