@@ -476,7 +476,7 @@ def _prefix_sums(F: Field, mult: list[np.ndarray], base: np.ndarray, ks: range):
 def scalar_class_images(F: Field, S: np.ndarray):
     """Yield blocks of the images c S, one row per scalar class c of the
     nonzero vectors of GF(q)^h (first nonzero coordinate 1), each class
-    exactly once and in no promised order.
+    exactly once, in lexicographic order of the label vectors c.
 
     S is h x W, read and never written.  The class with its 1 at `lead`
     has image S[lead] + sum_{k > lead} c_k S[k].  The last L coordinates
@@ -484,9 +484,10 @@ def scalar_class_images(F: Field, S: np.ndarray):
     by T_{l+1} = {x S[h-l-1] + t : x in GF(q), t in T_l} from the q x W
     tables of multiples of each row; a block is T_l plus one prefix (the
     1 at `lead` and the coordinates between it and the table), so each
-    image entry costs one field addition.  L is the largest with
-    q^L * W <= _IMAGE_BLOCK_ENTRIES: no block holds more entries than
-    that, unless a single row does.
+    image entry costs one field addition.  The prefix recursion and the
+    tables (row x |T_l| + t of T_{l+1}) both put earlier coordinates major,
+    hence the order.  L is the largest with q^L * W <= _IMAGE_BLOCK_ENTRIES:
+    no block holds more entries than that, unless a single row does.
     """
     S = np.asarray(S, dtype=np.int64)
     h, W = S.shape

@@ -27,7 +27,7 @@ from .errors import (
     VerificationError,
 )
 from .functors import build_preprojective
-from .gf import Field
+from .gf import Field, rank
 # Kept bound although unused: bench/test_bench_tracer.py expects hall and gr to share it.
 from .homreg import build_homogeneous_simples  # noqa: F401
 from .homreg import homogeneous_simples, is_simple_homogeneous
@@ -190,8 +190,18 @@ def _indecomposable_given_end(M: Rep, e: int, budget: int = 2_000_000) -> bool:
     (0 exactly when M is zero)."""
     if e <= 1:
         return e == 1
+    # At a sink j, S_j = P_j is projective: when the arrows into j do not
+    # span M_j, the onto map M -> top(M) -> S_j splits, and S_j is a proper
+    # summand as e >= 2.  Dually (D M's arrows into j are the transposes of
+    # M's arrows out of j), a common kernel of the arrows out of a source j
+    # splits off S_j = I_j.
+    Q, F = M.quiver, M.field
+    for j, d in enumerate(M.dims):
+        ins, outs = [M.mats[a] for a in Q.incoming(j)], [M.mats[a].T for a in Q.outgoing(j)]
+        for span, other in ((ins, outs), (outs, ins)):
+            if d and not other and rank(F, np.hstack([F.zeros(d, 0)] + span)) < d:
+                return False
     basis = hom_basis(M, M)
-    F = M.field
     if F.q ** len(basis) > budget:
         raise InfeasibleEnumerationError(
             f"{F.q}^{len(basis)} endomorphisms exceed budget", needed=F.q ** len(basis),
@@ -206,23 +216,26 @@ def _indecomposable_given_end(M: Rep, e: int, budget: int = 2_000_000) -> bool:
     return nontrivial == 2
 
 
-def _rep_measure(M: Rep, budget: int) -> Measure:
-    sig = _probe_signature(M)
-    for rep, value in _REP_MEMO.get(sig, ()):
-        if is_isomorphic(rep, M, budget):
-            return value
-    best: Measure = ()
-    own = is_indecomposable(M)
+def _indecomposable_subreps(M: Rep, budget: int):
+    """Yield (spaces, U) for every indecomposable proper submodule U of M,
+    spaces its row bases: the exhaustive twin of `_embedded_roots`."""
     for spaces in enumerate_subreps(M, budget=budget):
         d = tuple(int(U.shape[0]) for U in spaces)
         if sum(d) == 0 or d == M.dims:
             continue
         U = sub_rep(M, spaces)
-        if not is_indecomposable(U):
-            continue
-        m = _rep_measure(U, budget)
-        if not best or measure_less(best, m):
-            best = m
+        if is_indecomposable(U):
+            yield spaces, U
+
+
+def _rep_measure(M: Rep, budget: int) -> Measure:
+    sig = _probe_signature(M)
+    for rep, value in _REP_MEMO.get(sig, ()):
+        if is_isomorphic(rep, M, budget):
+            return value
+    own = is_indecomposable(M)
+    measures = [_rep_measure(U, budget) for _, U in _indecomposable_subreps(M, budget)]
+    best = max_measure(measures) if measures else ()
     if own:
         out = best + (sum(M.dims),)
     else:
@@ -248,17 +261,23 @@ def gr_measure(M: Rep, budget: int = 2_000_000) -> Measure:
 def gr_submodules(M: Rep, budget: int = 2_000_000) -> list[SubrepWitness]:
     """All indecomposable submodules X with gr_measure(M) equal to
     gr_measure(X) extended by the length of M."""
+    return _measure_and_submodules(M, budget)[1]
+
+
+def _measure_and_submodules(M: Rep, budget: int = 2_000_000) -> tuple[Measure, list]:
+    """(gr_measure(M), gr_submodules(M)), from one root pass on the root engine."""
     Q, F = M.quiver, M.field
     out = []
     if _uses_root_engine(M):
         roots = list(_embedded_roots(M))
         measures = [_root_measure(Q, F, d) for d, _, _ in roots]
         target = max_measure(measures) if measures else ()
+        measure = target + (sum(M.dims),)
         seen = set()
         for (d, X, basis), m in zip(roots, measures):
             if m != target:
                 continue
-            for phi, _ in injective_classes(F, X, basis):
+            for phi in injective_classes(F, X, basis):
                 spaces = morphism_image(F, phi)
                 key = tuple(U.tobytes() for U in spaces)
                 if key in seen:
@@ -267,23 +286,17 @@ def gr_submodules(M: Rep, budget: int = 2_000_000) -> list[SubrepWitness]:
                 seen.add(key)
                 out.append(subrep_witness(M, spaces))
     else:
-        target = _rep_measure(M, budget)[:-1]
-        if not target:
-            return []
-        for spaces in enumerate_subreps(M, budget=budget):
-            d = tuple(int(U.shape[0]) for U in spaces)
-            if sum(d) == 0 or d == M.dims:
-                continue
-            U = sub_rep(M, spaces)
-            if not is_indecomposable(U):
-                continue
-            if _rep_measure(U, budget) == target:
-                out.append(subrep_witness(M, spaces))
+        measure = _rep_measure(M, budget)
+        # A decomposable M has a measure that stops short of its length,
+        # so no submodule's measure extends to it.
+        if measure[-1] == sum(M.dims):
+            out = [subrep_witness(M, spaces) for spaces, U in _indecomposable_subreps(M, budget)
+                   if _rep_measure(U, budget) == measure[:-1]]
     for w in out:
         if tits_form(Q, w.quotient.dims) == 1 and end_dim(w.quotient) != 1:
             raise InternalInconsistencyError(
                 "quotient of a GR inclusion has root dimensions but is decomposable")
-    return out
+    return measure, out
 
 
 # -- submodule count report ---------------------------------------------
@@ -407,8 +420,7 @@ def verify_main_theorem(Q: Quiver, F: Field) -> GRReport:
     if first is None:
         raise InternalInconsistencyError(f"no homogeneous module over GF({F.q})")
     R = first[1]
-    mu = gr_measure(R)
-    wits = gr_submodules(R)
+    mu, wits = _measure_and_submodules(R)
     if not wits:
         raise InternalInconsistencyError("homogeneous module with no chain submodule")
     P = wits[0]

@@ -17,7 +17,8 @@ from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
 )
-from .gf import Field, enumerate_subspaces, gaussian_binomial, in_rowspace, kernel_basis, quotient_map, rank, rref
+from .gf import (Field, enumerate_subspaces, gaussian_binomial, in_rowspace, kernel_basis,
+                 quotient_map, rank, rref, scalar_class_images)
 from .quiver import Quiver, admissible_sink_order, euler_form, opposite
 
 
@@ -251,43 +252,28 @@ def is_injective_morphism(F: Field, M: Rep, phi: tuple[np.ndarray, ...]) -> bool
     return all(rank(F, phi[j]) == d for j, d in enumerate(M.dims) if d)
 
 
-# Rows per block, which bounds the memory of one batched evaluation.
-_BLOCK_ROWS = 65536
-
-
-def scalar_class_blocks(q: int, h: int):
-    """Yield coefficient blocks (B, h), one row per scalar class of nonzero
-    vectors in GF(q)^h.
-
-    Rows have their first nonzero coordinate equal to 1, and come in
-    lexicographic order: by the position of that 1, then by the tail.
-    """
-    for lead in range(h):
-        tail = h - lead - 1
-        tails = np.indices((q,) * tail).reshape(tail, q ** tail).T
-        for start in range(0, tails.shape[0], _BLOCK_ROWS):
-            chunk = tails[start:start + _BLOCK_ROWS]
-            block = np.zeros((chunk.shape[0], h), dtype=np.int64)
-            block[:, lead] = 1
-            block[:, lead + 1:] = chunk
-            yield block
-
-
 def injective_classes(F: Field, X: Rep, basis: list[tuple[np.ndarray, ...]],
                       budget: int = 2_000_000):
-    """Yield (phi, coeffs) for every scalar class of combinations of the
-    Hom(X, -) basis that is injective at every vertex, one class at a time.
-    The budget on the number of classes is checked before any work."""
+    """Yield phi for every scalar class of combinations of the Hom(X, -)
+    basis that is injective at every vertex, one class at a time, as the
+    per-vertex slices of the rows of `scalar_class_images` on the flattened
+    basis, in its class order.  The budget is checked before any work."""
     h = len(basis)
     classes = (F.q ** h - 1) // (F.q - 1)
     if classes > budget:
         raise InfeasibleEnumerationError(
             f"monomorphism scan over about {classes} classes", needed=classes, budget=budget)
-    for block in scalar_class_blocks(F.q, h):
-        for coeffs in block:
-            phi = hom_combination(F, basis, coeffs)
+    if not basis:
+        return
+    shapes = [U.shape for U in basis[0]]
+    ends = list(itertools.accumulate(m * n for m, n in shapes))
+    parts = list(zip([0] + ends, ends, shapes))
+    S = np.stack([np.concatenate([U.reshape(-1) for U in phi]) for phi in basis])
+    for block in scalar_class_images(F, S):
+        for image in block:
+            phi = tuple(image[lo:hi].reshape(shape) for lo, hi, shape in parts)
             if is_injective_morphism(F, X, phi):
-                yield phi, coeffs
+                yield phi
 
 
 def morphism_image(F: Field, phi: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:

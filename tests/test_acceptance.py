@@ -540,7 +540,7 @@ def test_criterion_9_property_suites():
         if not starts_with(gr_measure(X), target):
             continue
         Y = direct_sum(Y1, Y2)
-        for phi, _ in injective_classes(F2, X, hom_basis(X, Y)):
+        for phi in injective_classes(F2, X, hom_basis(X, Y)):
             top = tuple(phi[j][:Y1.dims[j], :] for j in range(5))
             bot = tuple(phi[j][Y1.dims[j]:, :] for j in range(5))
             if not (is_injective_morphism(F2, X, top)

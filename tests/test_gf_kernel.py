@@ -2,8 +2,8 @@
 `batched_full_row_rank` against the numpy eliminations they replaced, kept
 here as oracles, `Field.matmul` against a scalar triple loop, and the
 product-set `scalar_class_images` against a field product over
-`scalar_class_blocks`, with the one-sink count's per-vertex loop it
-replaced.
+`class_blocks.scalar_class_blocks`, row for row in order, with the one-sink
+count's per-vertex loop it replaced.
 
 Inputs are generated over prime and extension fields: dense matrices of
 every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
@@ -32,7 +32,9 @@ from tamehall.gf import (
 from tamehall.hall import _minus_unit, hall_number_sink_fast
 from tamehall.homreg import homogeneous_simples
 from tamehall.quiver import preset_quiver, radical_delta, reorient_toward
-from tamehall.reps import _hom_system, hom_basis, scalar_class_blocks, top_projection
+from tamehall.reps import _hom_system, hom_basis, top_projection
+
+from class_blocks import scalar_class_blocks
 
 ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -303,13 +305,10 @@ def class_images(draw):
     return field(q), S, cap
 
 
-def _sorted_rows(M):
-    return M[np.lexsort(M.T[::-1])] if M.shape[1] else M
-
-
 @PROPERTY
 @given(class_images())
 def test_scalar_class_images_match_products_over_class_blocks(case):
+    """Row for row, in order: the GR witness order rests on it."""
     F, S, cap = case
     h, W = S.shape
     before = S.copy()
@@ -327,7 +326,7 @@ def test_scalar_class_images_match_products_over_class_blocks(case):
     want = [F.matmul(c, S) for c in scalar_class_blocks(F.q, h)]
     want = np.concatenate(want) if want else F.zeros(0, W)
     assert got.shape == want.shape == ((F.q ** h - 1) // (F.q - 1), W)
-    assert np.array_equal(_sorted_rows(got), _sorted_rows(want))
+    assert np.array_equal(got, want)
     assert len(again) == len(blocks) and all(map(np.array_equal, again, blocks))
     event("a lead over several blocks" if len(blocks) > h else "one block per lead")
 

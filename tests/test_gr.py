@@ -28,6 +28,7 @@ from tamehall.quiver import defect, positive_real_roots, preset_quiver, radical_
 from tamehall.reps import (
     Rep,
     direct_sum,
+    end_dim,
     hom_basis,
     hom_combination,
     injective_classes,
@@ -118,6 +119,19 @@ def test_is_indecomposable():
     assert not is_indecomposable(direct_sum(P, simple_rep(K, F, 1)))
 
 
+def test_is_indecomposable_splits_off_simple_projectives_and_injectives():
+    """S^4 at the sink or at the source of the Kronecker quiver over GF(3)
+    has 3^16 endomorphisms, over the idempotent scan's budget; S^2 on a
+    single vertex has no arrow at all."""
+    F = field(3)
+    for i in (0, 1):
+        S = simple_rep(K, F, i)
+        M = direct_sum(direct_sum(S, S), direct_sum(S, S))
+        assert end_dim(M) == 16 and not is_indecomposable(M)
+    S = simple_rep(preset_quiver("a:1"), F, 0)
+    assert not is_indecomposable(direct_sum(S, S))
+
+
 # ----------------------------------------------------------------- measure
 
 
@@ -195,6 +209,13 @@ def test_gr_submodules_rejects_what_gr_measure_rejects():
 
 def test_gr_submodules_simple_is_empty():
     assert gr_submodules(simple_rep(K, field(3), 0)) == []
+
+
+def test_gr_submodules_of_a_decomposable_module_is_empty():
+    """P + P has measure (1, 3), which stops short of its length 6."""
+    P = projective_rep(K, field(2), 0)
+    assert gr_measure(direct_sum(P, P)) == (1, 3)
+    assert gr_submodules(direct_sum(P, P)) == []
 
 
 def test_gr_submodules_kronecker_regular():
@@ -383,7 +404,7 @@ def test_mono_into_sum_has_injective_projection():
         if not starts_with(gr_measure(X), target):
             continue
         Y = direct_sum(Y1, Y2)
-        for phi, _ in injective_classes(F, X, hom_basis(X, Y)):
+        for phi in injective_classes(F, X, hom_basis(X, Y)):
             top = tuple(phi[j][:Y1.dims[j], :] for j in range(5))
             bot = tuple(phi[j][Y1.dims[j]:, :] for j in range(5))
             assert (is_injective_morphism(F, X, top)

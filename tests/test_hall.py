@@ -35,9 +35,10 @@ from tamehall.reps import (
     hom_combination,
     projective_rep,
     reps_equal,
-    scalar_class_blocks,
     simple_rep,
 )
+
+from class_blocks import scalar_class_blocks
 
 K = preset_quiver("kronecker")
 D4 = preset_quiver("dtilde:4")

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
+from tamehall import gf
 from tamehall.errors import InfeasibleEnumerationError, InvalidInputError
 from tamehall.gf import enumerate_subspaces, field, rank
 from tamehall.quiver import Quiver, euler_form, preset_quiver
@@ -32,6 +35,8 @@ from tamehall.reps import (
     top_projection,
     zero_rep,
 )
+
+from class_blocks import scalar_class_blocks
 
 K = preset_quiver("kronecker")
 A2 = preset_quiver("a:2")
@@ -354,6 +359,60 @@ def test_injective_classes_count_every_injective_vector_once():
                 assert classes * (q - 1) == brute, (X.dims, Y.dims, q)
                 checked += brute > 0
         assert checked
+
+
+def _injective_classes_by_combination(F, X, basis):
+    """The monomorphism scan before `injective_classes` read
+    `scalar_class_images`: one `hom_combination` per class of the
+    coefficient blocks, in their lexicographic order."""
+    for block in scalar_class_blocks(F.q, len(basis)):
+        for coeffs in block:
+            phi = hom_combination(F, basis, coeffs)
+            if is_injective_morphism(F, X, phi):
+                yield phi
+
+
+@st.composite
+def hom_spaces(draw):
+    """(F, X, basis, cap): a basis of Hom(X, Y) of dimension 0..4, X and Y
+    random modules on kronecker, a:3 or dtilde:4 with at most two
+    dimensions per vertex, Y often a direct sum with X so that Hom is not
+    zero, and a block cap for `scalar_class_images`, the real one or small
+    enough to spread the classes over many blocks."""
+    F = field(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
+    Q = preset_quiver(draw(st.sampled_from(("kronecker", "a:3", "dtilde:4"))))
+
+    def module():
+        dims = tuple(draw(st.integers(0, 2)) for _ in range(Q.n))
+        mats = [np.array(draw(st.lists(st.integers(0, F.q - 1), min_size=dims[t] * dims[s],
+                                       max_size=dims[t] * dims[s])),
+                         dtype=np.int64).reshape(dims[t], dims[s]) for s, t in Q.arrows]
+        return Rep(Q, F, dims, tuple(mats))
+
+    X, Y = module(), module()
+    if draw(st.booleans()):
+        Y = direct_sum(X, Y)
+    basis = hom_basis(X, Y)
+    assume(len(basis) <= 4)
+    event(f"h = {len(basis)}")
+    return F, X, basis, draw(st.sampled_from((gf._IMAGE_BLOCK_ENTRIES, 7, 40)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(hom_spaces())
+def test_injective_classes_match_the_combination_scan_in_order(case):
+    F, X, basis, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "_IMAGE_BLOCK_ENTRIES", cap)
+        got = list(injective_classes(F, X, basis))
+    want = list(_injective_classes_by_combination(F, X, basis))
+    event("an injective class" if want else "no injective class")
+    assert len(got) == len(want)
+    for phi, ref in zip(got, want):
+        assert len(phi) == len(ref)
+        for a, b in zip(phi, ref):
+            assert a.dtype == np.int64 and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_injective_classes_checks_budget_before_work():
