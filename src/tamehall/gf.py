@@ -341,12 +341,18 @@ def _complement(F: Field, R: np.ndarray, piv, n: int) -> tuple[np.ndarray, list[
 
 
 def kernel_basis(F: Field, M: np.ndarray) -> np.ndarray:
-    """Basis of the right kernel {v : M v = 0}, rows in reduced echelon form."""
+    """Basis of the right kernel {v : M v = 0}, rows in reduced echelon form.
+
+    One elimination, of M with its columns reversed.  The complement rows
+    of that form have a 1 at their own non-pivot column and nonzero
+    entries only at earlier pivot columns; reversed in both rows and
+    columns, each row has its leading 1 at a column where every other row
+    is zero.  That is a reduced echelon basis of the kernel, and it is
+    unique."""
     M = np.asarray(M, dtype=np.int64)
-    R, pivots = rref(F, M)
+    R, pivots = rref(F, M[:, ::-1])
     basis, _ = _complement(F, R, pivots, M.shape[1])
-    out, _ = rref(F, basis)
-    return out
+    return np.ascontiguousarray(basis[::-1, ::-1])
 
 
 def in_rowspace(F: Field, basis_rref: np.ndarray, vectors: np.ndarray) -> bool:

@@ -52,7 +52,6 @@ from .reps import (
     is_brick,
     is_isomorphic,
     morphism_image,
-    simple_rep,
     sub_rep,
     subrep_witness,
 )
@@ -171,11 +170,20 @@ _REP_MEMO: dict = {}
 
 
 def _probe_signature(M: Rep):
+    """(Q, q, dim M, hom(S_i, M) per i, hom(M, S_i) per i), an isomorphism
+    invariant read off ranks.  With no loops, a map S_i -> M is a vector
+    x in M_i with M_a x = 0 for every arrow a out of i (S_i is zero at the
+    target), so hom(S_i, M) = n_i - rank of those maps stacked.  A map
+    M -> S_i is a functional on M_i killing M_a y for every arrow a into i,
+    so hom(M, S_i) = n_i - rank of those maps side by side."""
     Q, F = M.quiver, M.field
-    probes = [simple_rep(Q, F, i) for i in range(Q.n)]
-    ins = tuple(hom_dim(P, M) for P in probes)
-    outs = tuple(hom_dim(M, P) for P in probes)
-    return (Q, F.q, M.dims, ins, outs)
+    ins, outs = [], []
+    for i, n_i in enumerate(M.dims):
+        out_maps = [M.mats[a] for a in Q.outgoing(i)]
+        in_maps = [M.mats[a] for a in Q.incoming(i)]
+        ins.append(n_i - rank(F, np.vstack([F.zeros(0, n_i)] + out_maps)))
+        outs.append(n_i - rank(F, np.hstack([F.zeros(n_i, 0)] + in_maps)))
+    return (Q, F.q, M.dims, tuple(ins), tuple(outs))
 
 
 def is_indecomposable(M: Rep, budget: int = 2_000_000) -> bool:
@@ -216,27 +224,34 @@ def _indecomposable_given_end(M: Rep, e: int, budget: int = 2_000_000) -> bool:
     return nontrivial == 2
 
 
-def _indecomposable_subreps(M: Rep, budget: int):
-    """Yield (spaces, U) for every indecomposable proper submodule U of M,
-    spaces its row bases: the exhaustive twin of `_embedded_roots`."""
+def _measured_subreps(M: Rep, budget: int) -> list:
+    """(spaces, U, gr measure of U) for every indecomposable proper
+    submodule U of M, spaces its row bases: the exhaustive twin of
+    `_embedded_roots`."""
+    out = []
     for spaces in enumerate_subreps(M, budget=budget):
         d = tuple(int(U.shape[0]) for U in spaces)
         if sum(d) == 0 or d == M.dims:
             continue
         U = sub_rep(M, spaces)
         if is_indecomposable(U):
-            yield spaces, U
+            out.append((spaces, U, _rep_measure(U, budget)))
+    return out
 
 
-def _rep_measure(M: Rep, budget: int) -> Measure:
+def _memo_lookup(M: Rep, budget: int):
+    """(signature of M, the stored measure of a module isomorphic to M or None)."""
     sig = _probe_signature(M)
     for rep, value in _REP_MEMO.get(sig, ()):
         if is_isomorphic(rep, M, budget):
-            return value
-    own = is_indecomposable(M)
-    measures = [_rep_measure(U, budget) for _, U in _indecomposable_subreps(M, budget)]
-    best = max_measure(measures) if measures else ()
-    if own:
+            return sig, value
+    return sig, None
+
+
+def _store_measure(M: Rep, sig, subs: list) -> Measure:
+    """The measure of M from its `_measured_subreps`, stored under sig."""
+    best = max_measure(m for _, _, m in subs) if subs else ()
+    if is_indecomposable(M):
         out = best + (sum(M.dims),)
     else:
         if not best:
@@ -245,6 +260,13 @@ def _rep_measure(M: Rep, budget: int) -> Measure:
         out = best
     _REP_MEMO.setdefault(sig, []).append((M, out))
     return out
+
+
+def _rep_measure(M: Rep, budget: int) -> Measure:
+    sig, value = _memo_lookup(M, budget)
+    if value is None:
+        value = _store_measure(M, sig, _measured_subreps(M, budget))
+    return value
 
 
 # -- public measure API -------------------------------------------------
@@ -286,12 +308,16 @@ def _measure_and_submodules(M: Rep, budget: int = 2_000_000) -> tuple[Measure, l
                 seen.add(key)
                 out.append(subrep_witness(M, spaces))
     else:
-        measure = _rep_measure(M, budget)
+        sig, measure = _memo_lookup(M, budget)
         # A decomposable M has a measure that stops short of its length,
-        # so no submodule's measure extends to it.
-        if measure[-1] == sum(M.dims):
-            out = [subrep_witness(M, spaces) for spaces, U in _indecomposable_subreps(M, budget)
-                   if _rep_measure(U, budget) == measure[:-1]]
+        # so no submodule's measure extends to it: one scan of the
+        # submodules gives both the measure and the witnesses.
+        if measure is None or measure[-1] == sum(M.dims):
+            subs = _measured_subreps(M, budget)
+            if measure is None:
+                measure = _store_measure(M, sig, subs)
+            out = [subrep_witness(M, spaces) for spaces, _, m in subs
+                   if m + (sum(M.dims),) == measure]
     for w in out:
         if tits_form(Q, w.quotient.dims) == 1 and end_dim(w.quotient) != 1:
             raise InternalInconsistencyError(

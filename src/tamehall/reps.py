@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -359,8 +360,8 @@ def sub_rep(M: Rep, spaces) -> Rep:
         U_s, U_t = spaces[s], spaces[t]
         images = F.matmul(M.mats[a], U_s.T)          # columns in the big space
         if U_t.shape[0]:
-            _, piv = rref(F, U_t)
-            coords = images[list(piv), :]
+            # U_t is reduced: each row's pivot is its first nonzero entry
+            coords = images[(U_t != 0).argmax(axis=1), :]
             # verify the coordinates reproduce the images
             if not np.array_equal(F.matmul(U_t.T, coords), images):
                 raise InvalidInputError("not a subrepresentation")
@@ -405,12 +406,35 @@ def quotient_rep(M: Rep, spaces) -> Rep:
     return Rep(Q, F, dims, tuple(mats))
 
 
+@lru_cache(maxsize=None)
+def _walk_plan(Q: Quiver) -> tuple[tuple[int, ...], tuple]:
+    """(an admissible sink order of Q, and per vertex with arrows out of it
+    the vertex, its (arrow, target) pairs and the position in the order of
+    its last target)."""
+    order = admissible_sink_order(Q)
+    pos = {v: k for k, v in enumerate(order)}
+    plan = []
+    for v in range(Q.n):
+        arrows = tuple((a, Q.arrows[a][1]) for a in Q.outgoing(v))
+        if arrows:
+            plan.append((v, arrows, max(pos[t] for _, t in arrows)))
+    return order, tuple(plan)
+
+
 def enumerate_subreps(M: Rep, budget: int = 2_000_000, dims=None):
     """Yield every subrepresentation of M as a tuple of per-vertex reduced
     row bases.  With `dims`, restrict to that dimension vector.
 
     Vertices are filled in following an admissible sink order, so arrow
-    constraints always point at already-chosen spaces.
+    constraints always point at already-chosen spaces.  Once the last
+    target of a vertex v is chosen, the allowed spaces at v are the
+    subspaces of the preimage W_v = {x : M_a x in U_t for every a: v -> t}.
+    With W_v in reduced echelon form and C a reduced basis of a subspace
+    of k^(dim W_v), C W_v is reduced with pivots the pivots of W_v picked
+    by those of C, and its entries off the pivots of W_v depend only on
+    earlier entries of C.  So the spaces C W_v, in the order
+    `enumerate_subspaces` gives the C, are the allowed subspaces of k^n_v
+    in the order it gives them.
     """
     Q, F = M.quiver, M.field
     if dims is not None and (len(dims) != Q.n or any(d < 0 or d > M.dims[j] for j, d in enumerate(dims))):
@@ -424,34 +448,62 @@ def enumerate_subreps(M: Rep, budget: int = 2_000_000, dims=None):
     if est > budget:
         raise InfeasibleEnumerationError(
             f"subrepresentation scan of size about {est}", needed=est, budget=budget)
-    order = admissible_sink_order(Q)
+    order, plan = _walk_plan(Q)
+    # outs[v]: (target, rows of the arrow's transpose) per arrow out of v,
+    # for the vertices whose preimage can cut something; ready[k]: those
+    # whose last target is order[k]
+    outs = {}
+    ready = [[] for _ in order]
+    for v, arrows, k in plan:
+        if M.dims[v] and (dims is None or dims[v]):
+            outs[v] = [(t, M.mats[a].T.tolist()) for a, t in arrows]
+            ready[k].append(v)
     chosen: dict[int, np.ndarray] = {}
+    allowed: dict[int, np.ndarray | None] = dict.fromkeys(range(Q.n))  # None: all of k^n_v
+
+    def narrow(v) -> bool:
+        """Set allowed[v] to the preimage W_v; False when dims asks for more."""
+        n_v = M.dims[v]
+        # rows [U_t | 0], one block per arrow whose target space is not
+        # everything, over [M_a^T | I]: the rows reduced to zero on the
+        # arrow blocks span (0, W_v)
+        blocks = [(chosen[t].tolist(), M.dims[t], rows) for t, rows in outs[v]
+                  if chosen[t].shape[0] < M.dims[t]]
+        if not blocks:
+            allowed[v] = None
+            return True
+        width = sum(n_t for _, n_t, _ in blocks)
+        system, off = [], 0
+        for U, n_t, _ in blocks:
+            system += [[0] * off + u + [0] * (width - off - n_t + n_v) for u in U]
+            off += n_t
+        system += [[x for _, _, rows in blocks for x in rows[i]] + [0] * i + [1] + [0] * (n_v - i - 1)
+                   for i in range(n_v)]
+        R, piv = rref(F, system)
+        w = sum(c >= width for c in piv)
+        if dims is not None and w < dims[v]:
+            return False
+        allowed[v] = None if w == n_v else R[len(piv) - w:, width:]
+        return True
 
     def options(v):
-        n_v = M.dims[v]
+        n_v, W = M.dims[v], allowed[v]
         ds = range(n_v + 1) if dims is None else [dims[v]]
         for d in ds:
-            for U in enumerate_subspaces(F, n_v, d, budget=budget):
-                ok = True
-                for a in Q.outgoing(v):
-                    t = Q.arrows[a][1]
-                    if U.shape[0]:
-                        images = F.matmul(M.mats[a], U.T).T
-                        if not in_rowspace(F, chosen[t], images):
-                            ok = False
-                            break
-                if ok:
-                    yield U
+            if W is None:
+                yield from enumerate_subspaces(F, n_v, d, budget=budget)
+            else:
+                for C in enumerate_subspaces(F, W.shape[0], d, budget=budget):
+                    yield F.matmul(C, W)
 
     def walk(k):
         if k == len(order):
             yield tuple(chosen[j] for j in range(Q.n))
             return
-        v = order[k]
-        for U in options(v):
-            chosen[v] = U
-            yield from walk(k + 1)
-        chosen.pop(v, None)
+        for U in options(order[k]):
+            chosen[order[k]] = U
+            if all(narrow(v) for v in ready[k]):
+                yield from walk(k + 1)
 
     yield from walk(0)
 

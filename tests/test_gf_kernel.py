@@ -1,9 +1,9 @@
-"""The list-row `rref`, the rank-based `in_rowspace` and the division-free
-`batched_full_row_rank` against the numpy eliminations they replaced, kept
-here as oracles, `Field.matmul` against a scalar triple loop, and the
-product-set `scalar_class_images` against a field product over
-`class_blocks.scalar_class_blocks`, row for row in order, with the one-sink
-count's per-vertex loop it replaced.
+"""The list-row `rref`, the rank-based `in_rowspace`, the one-elimination
+`kernel_basis` and the division-free `batched_full_row_rank` against the
+eliminations they replaced, kept here as oracles, `Field.matmul` against
+a scalar triple loop, and the product-set `scalar_class_images` against a
+field product over `class_blocks.scalar_class_blocks`, row for row in
+order, with the one-sink count's per-vertex loop it replaced.
 
 Inputs are generated over prime and extension fields: dense matrices of
 every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
@@ -25,6 +25,7 @@ from tamehall.gf import (
     batched_full_row_rank,
     field,
     in_rowspace,
+    kernel_basis,
     rank,
     rref,
     scalar_class_images,
@@ -167,6 +168,46 @@ def test_in_rowspace_matches_numpy_oracle(case, data):
     before = (B.copy(), V.copy())
     assert in_rowspace(F, B, V) == _in_rowspace_oracle(F, B, V)
     assert np.array_equal(B, before[0]) and np.array_equal(V, before[1])
+
+
+def _kernel_basis_oracle(F, M):
+    """Two eliminations: the complement of the reduced form of M, reduced."""
+    R, piv = rref(F, M)
+    basis, _ = gf._complement(F, R, piv, M.shape[1])
+    return rref(F, basis)[0]
+
+
+def _check_kernel_basis(F, M):
+    before = M.copy()
+    K = kernel_basis(F, M)
+    want = _kernel_basis_oracle(F, M)
+    assert np.array_equal(M, before)
+    assert K.dtype == want.dtype == np.int64
+    assert K.shape == want.shape and K.flags.c_contiguous
+    assert np.array_equal(K, want)
+    assert not F.matmul(M, K.T).any()
+
+
+@PROPERTY
+@given(dense(), st.data())
+def test_kernel_basis_matches_two_elimination_oracle_on_dense_input(case, data):
+    F, M = case
+    if M.shape[0] > 1 and data.draw(st.booleans()):
+        # rank deficiency: copy the first row over a later one
+        M[data.draw(st.integers(1, M.shape[0] - 1))] = M[0]
+    _check_kernel_basis(F, M)
+
+
+@PROPERTY
+@given(sparse())
+def test_kernel_basis_matches_two_elimination_oracle_on_sparse_input(case):
+    _check_kernel_basis(*case)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(st.sampled_from(("e6tilde", "e7tilde")), st.sampled_from(ORDERS[1:]))
+def test_kernel_basis_matches_two_elimination_oracle_on_end_systems(name, q):
+    _check_kernel_basis(*_end_system(name, q))
 
 
 def _batched_full_row_rank_oracle(F, mats):
