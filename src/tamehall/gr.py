@@ -10,8 +10,11 @@ exhaustively with memoization, and works for any small module.  For
 preprojective bricks and homogeneous modules on an affine quiver, every
 indecomposable submodule is itself a preprojective root module, so the
 search reduces to root combinatorics plus explicit monomorphism checks;
-that engine handles the larger sweeps.  The two agree on their overlap,
-which the tests pin down.
+that engine handles the larger sweeps.  It ranks the roots below dim M by
+their (cached) measures and tests embeddings best first, so the first
+root module that embeds gives the measure; roots whose Euler form with
+dim M is not positive have Hom(X, M) = 0 there and are never tested.  The
+two engines agree on their overlap, which the tests pin down.
 """
 
 import itertools
@@ -34,6 +37,7 @@ from .homreg import homogeneous_simples, is_simple_homogeneous
 from .quiver import (
     Quiver,
     defect,
+    euler_form,
     is_affine,
     positive_real_roots,
     radical_delta,
@@ -93,6 +97,17 @@ def max_measure(measures) -> Measure:
     return best
 
 
+def measure_key(I) -> tuple[int, ...]:
+    """Sort key of the measure order: the indicator vector of I over
+    1..max I.  Tuples compare at their first difference, which is the
+    smallest element of the symmetric difference, and rank higher the side
+    holding it, as `compare_measures` does.  When one vector is a proper
+    prefix of the other, the longer one ends in 1, at its measure's largest
+    element, which the shorter one lacks."""
+    s = set(I)
+    return tuple(int(k in s) for k in range(1, max(s, default=0) + 1))
+
+
 def starts_with(I, J) -> bool:
     """True when J equals I or continues I using strictly larger elements."""
     a, b = as_measure(I), as_measure(J)
@@ -122,26 +137,40 @@ def _root_measure(Q: Quiver, F: Field, x: tuple[int, ...]) -> Measure:
     return _measure_over_roots(_root_module(Q, F, x))
 
 
-def _embedded_roots(M: Rep):
-    """Yield (d, X, basis) for every preprojective root d below dim M whose
-    module X embeds in M, with basis a basis of Hom(X, M)."""
+def _ranked_roots(M: Rep) -> list:
+    """(d, measure of d) for every preprojective root d below dim M that
+    can embed in M, best measure first; a stable sort keeps equal
+    measures in the order of `_preproj_roots_inside`.
+
+    A root d with <d, dim M> <= 0 is left out, as Hom(X, M) = 0 for its
+    module X.  On the root engine's range, X preprojective and M a
+    preprojective brick or a homogeneous module, Ext(X, M) = D Hom(M, tau X)
+    (Auslander-Reiten formula).  It vanishes for M regular, and for M
+    preprojective whenever Hom(X, M) does not, since X -> M -> tau X would
+    be a cycle in the directed preprojective component (Ringel, LNM 1099,
+    2.4; Assem-Simson-Skowronski, vol. 1, ch. VIII).  So
+    hom(X, M) = max(<d, dim M>, 0)."""
     Q, F = M.quiver, M.field
-    for d in _preproj_roots_inside(Q, M.dims):
-        if d == M.dims:
-            continue
-        X = _root_module(Q, F, d)
-        basis = hom_basis(X, M)
-        if basis and next(injective_classes(F, X, basis), None) is not None:
-            yield d, X, basis
+    ranked = [(d, _root_measure(Q, F, d)) for d in _preproj_roots_inside(Q, M.dims)
+              if d != M.dims and euler_form(Q, d, M.dims) > 0]
+    ranked.sort(key=lambda r: measure_key(r[1]), reverse=True)
+    return ranked
+
+
+def _monomorphisms(M: Rep, d: tuple[int, ...]):
+    """The scalar classes of monomorphisms from the module of root d into M."""
+    X = _root_module(M.quiver, M.field, d)
+    return injective_classes(M.field, X, hom_basis(X, M))
 
 
 def _measure_over_roots(M: Rep) -> Measure:
     """Measure of M when every indecomposable submodule is known to be a
     preprojective root module: homogeneous modules and preprojective
-    bricks on an affine quiver."""
-    Q, F = M.quiver, M.field
-    measures = [_root_measure(Q, F, d) for d, _, _ in _embedded_roots(M)]
-    return (max_measure(measures) if measures else ()) + (sum(M.dims),)
+    bricks on an affine quiver.  The first root in measure order whose
+    module embeds gives it."""
+    best = next((m for d, m in _ranked_roots(M)
+                 if next(_monomorphisms(M, d), None) is not None), ())
+    return best + (sum(M.dims),)
 
 
 def _uses_root_engine(M: Rep) -> bool:
@@ -226,8 +255,8 @@ def _indecomposable_given_end(M: Rep, e: int, budget: int = 2_000_000) -> bool:
 
 def _measured_subreps(M: Rep, budget: int) -> list:
     """(spaces, U, gr measure of U) for every indecomposable proper
-    submodule U of M, spaces its row bases: the exhaustive twin of
-    `_embedded_roots`."""
+    submodule U of M, spaces its row bases: the candidates of the
+    exhaustive engine, where the root engine ranks roots (`_ranked_roots`)."""
     out = []
     for spaces in enumerate_subreps(M, budget=budget):
         d = tuple(int(U.shape[0]) for U in spaces)
@@ -291,15 +320,14 @@ def _measure_and_submodules(M: Rep, budget: int = 2_000_000) -> tuple[Measure, l
     Q, F = M.quiver, M.field
     out = []
     if _uses_root_engine(M):
-        roots = list(_embedded_roots(M))
-        measures = [_root_measure(Q, F, d) for d, _, _ in roots]
-        target = max_measure(measures) if measures else ()
-        measure = target + (sum(M.dims),)
-        seen = set()
-        for (d, X, basis), m in zip(roots, measures):
-            if m != target:
-                continue
-            for phi in injective_classes(F, X, basis):
+        # Roots come best measure first: the first one that embeds fixes the
+        # measure, and the scan ends at the next smaller measure.
+        target, seen = None, set()
+        for d, m in _ranked_roots(M):
+            if target is not None and m != target:
+                break
+            for phi in _monomorphisms(M, d):
+                target = m
                 spaces = morphism_image(F, phi)
                 key = tuple(U.tobytes() for U in spaces)
                 if key in seen:
@@ -307,6 +335,7 @@ def _measure_and_submodules(M: Rep, budget: int = 2_000_000) -> tuple[Measure, l
                         "distinct monomorphism classes share an image")
                 seen.add(key)
                 out.append(subrep_witness(M, spaces))
+        measure = (target or ()) + (sum(M.dims),)
     else:
         sig, measure = _memo_lookup(M, budget)
         # A decomposable M has a measure that stops short of its length,

@@ -370,7 +370,8 @@ def sub_rep(M: Rep, spaces) -> Rep:
             if images.size and images.any():
                 raise InvalidInputError("not a subrepresentation")
             mats.append(F.zeros(0, dims[s]))
-    return Rep(Q, F, dims, tuple(mats))
+    # every block is an int64 product mod q of shape (dims[t], dims[s])
+    return Rep._built(Q, F, dims, tuple(mats))
 
 
 @dataclass
@@ -403,7 +404,8 @@ def quotient_rep(M: Rep, spaces) -> Rep:
     mats = []
     for a, (s, t) in enumerate(Q.arrows):
         mats.append(F.matmul(F.matmul(projs[t], M.mats[a]), secs[s]))
-    return Rep(Q, F, dims, tuple(mats))
+    # int64 products mod q of shape (dims[t], dims[s]), dims Python ints
+    return Rep._built(Q, F, dims, tuple(mats))
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ Quivers are random acyclic orientations of the affine presets, of small
 Dynkin diagrams and of the 4-cycle; fields are GF(2..5); modules are
 projectives, injectives and the indecomposables of the real roots
 inside delta (or inside a small box on Dynkin diagrams).  The modules
-that the reflection layer builds without validation are rebuilt here with
-the validating constructor, which serves as their oracle.
+that the reflection layer, `sub_rep` and `quotient_rep` build without
+validation are rebuilt here with the validating constructor, which serves
+as their oracle; the submodules are generated by a random vector.
 """
 
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from tamehall.functors import (
     tau,
     tau_minus,
 )
-from tamehall.gf import field
+from tamehall.gf import field, rref
 from tamehall.quiver import (
     Quiver,
     coxeter_inverse,
@@ -35,7 +36,17 @@ from tamehall.quiver import (
     preset_quiver,
     radical_delta,
 )
-from tamehall.reps import Rep, dual, injective_rep, is_isomorphic, projective_rep, reps_equal
+from tamehall.reps import (
+    Rep,
+    dual,
+    injective_rep,
+    is_isomorphic,
+    is_subrep,
+    projective_rep,
+    quotient_rep,
+    reps_equal,
+    sub_rep,
+)
 
 GRAPHS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde", "e8tilde",
           "a:1", "a:2", "a:3", "a:5", "d:4", "d:5", "e:6", "atilde:3")
@@ -150,10 +161,35 @@ def _unvalidated_builds():
         Rep._built = real
 
 
+def _generated_spaces(M, v, x):
+    """Reduced row bases of the smallest subrepresentation of M holding
+    the vector x at vertex v: images along the arrows until nothing grows."""
+    Q, F = M.quiver, M.field
+    spaces = [F.zeros(0, n) for n in M.dims]
+    spaces[v] = rref(F, x[None, :])[0]
+    for _ in range(Q.n):                      # the longest path has < n arrows
+        for a, (s, t) in enumerate(Q.arrows):
+            images = F.matmul(M.mats[a], spaces[s].T).T
+            spaces[t] = rref(F, np.vstack([spaces[t], images]))[0]
+    return tuple(spaces)
+
+
+@st.composite
+def subreps(draw):
+    """(quiver, module, the row bases of a random generated submodule)."""
+    Q, M = draw(modules())
+    v = draw(st.sampled_from([i for i, n in enumerate(M.dims) if n]))
+    x = np.array(draw(st.lists(st.integers(0, M.field.q - 1), min_size=M.dims[v],
+                               max_size=M.dims[v])), dtype=np.int64)
+    x[draw(st.integers(0, M.dims[v] - 1))] = draw(st.integers(1, M.field.q - 1))
+    return Q, M, _generated_spaces(M, v, x)
+
+
 @PROPERTY
-@given(modules())
+@given(subreps())
 def test_unvalidated_builds_pass_validation(case):
-    Q, M = case
+    Q, M, spaces = case
+    assert is_subrep(M, spaces)
     with _unvalidated_builds() as seen:
         dual(M)
         tau(M)
@@ -162,7 +198,8 @@ def test_unvalidated_builds_pass_validation(case):
             reflect_plus(M, i)
         for i in Q.sources():
             reflect_minus(M, i)
-    assert seen
+        sub, quotient = sub_rep(M, spaces), quotient_rep(M, spaces)
+    assert seen[-2:] == [sub, quotient]
     for N in seen:
         assert type(N.dims) is tuple and all(type(d) is int for d in N.dims)
         assert type(N.mats) is tuple and all(A.dtype == np.int64 for A in N.mats)

@@ -1,15 +1,21 @@
 """The root GR engine against its oracles, and the exhaustive engine's
 one scan per module.
 
-`gr_submodules` takes its target measure from the same list of embedded
-roots that it scans for witnesses.  The two-pass form it replaced, a full
-`gr_measure` and then a second scan of the roots, is kept here as the
-oracle, witness by witness and in order.  On random orientations of small
-affine quivers the root engine is compared with the exhaustive engine,
-which enumerates every submodule.  The exhaustive engine reads both the
-measure and the witnesses of a module off one enumeration of its
-submodules, and its memo key reads hom(S_i, M) and hom(M, S_i) off ranks;
-both are checked against the Hom computations they replaced.
+The root engine ranks the preprojective roots below dim M by their
+measures and tests embeddings best first, skipping the roots whose Euler
+form with dim M is not positive.  Its oracle here is the full scan it
+replaced: one Hom(X, M) basis for every preprojective root below dim M,
+then `max_measure` over the roots that embed, compared measure by measure
+and witness by witness, in order.  The skip rests on
+hom(X, M) = max(<x, m>, 0) for X preprojective and M preprojective or
+homogeneous, and the ranking on `measure_key` ordering as
+`compare_measures` does; both are checked on generated inputs.  On random
+orientations of small affine quivers the root engine is compared with the
+exhaustive engine, which enumerates every submodule.  The exhaustive
+engine reads both the measure and the witnesses of a module off one
+enumeration of its submodules, and its memo key reads hom(S_i, M) and
+hom(M, S_i) off ranks; both are checked against the Hom computations they
+replaced.
 """
 
 from functools import lru_cache
@@ -23,9 +29,24 @@ from hypothesis import strategies as st
 from tamehall import gr
 from tamehall.functors import build_preinjective, build_preprojective
 from tamehall.gf import field
-from tamehall.gr import _rep_measure, _root_measure, gr_measure, gr_submodules, is_indecomposable
+from tamehall.gr import (
+    _rep_measure,
+    compare_measures,
+    gr_measure,
+    gr_submodules,
+    is_indecomposable,
+    max_measure,
+    measure_key,
+)
 from tamehall.homreg import build_homogeneous_simples
-from tamehall.quiver import Quiver, defect, positive_real_roots, preset_quiver, radical_delta
+from tamehall.quiver import (
+    Quiver,
+    defect,
+    euler_form,
+    positive_real_roots,
+    preset_quiver,
+    radical_delta,
+)
 from tamehall.reps import (
     Rep,
     direct_sum,
@@ -43,49 +64,78 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def _two_pass_gr_submodules(M):
-    """Witness spaces of the GR submodules of M: a full gr_measure, then a
-    second scan of the preprojective roots inside dim M."""
-    target = gr_measure(M)[:-1]
-    if not target:
-        return []
-    Q, F = M.quiver, M.field
-    out = []
-    for d in positive_real_roots(Q, M.dims):
-        if defect(Q, d) >= 0 or d == M.dims or _root_measure(Q, F, d) != target:
-            continue
-        X = build_preprojective(Q, F, d)
-        for phi in injective_classes(F, X, hom_basis(X, M)):
-            out.append(tuple(U.tobytes() for U in morphism_image(F, phi)))
-    return out
-
-
 def _witness_spaces(M):
     return [tuple(U.tobytes() for U in w.spaces) for w in gr_submodules(M)]
 
 
-def test_one_pass_submodules_match_the_two_pass_form_on_d4_roots():
+def _full_scan(M):
+    """(measure, witness spaces) of M from the full scan: a Hom(X, M) basis
+    for every preprojective root below dim M, then `max_measure` over the
+    roots whose module X embeds, and the images of every monomorphism
+    class of the roots of that measure, in root order."""
+    Q, F = M.quiver, M.field
+    embedded = []
+    for d in positive_real_roots(Q, M.dims):
+        if defect(Q, d) >= 0 or d == M.dims:
+            continue
+        X = build_preprojective(Q, F, d)
+        images = [tuple(U.tobytes() for U in morphism_image(F, phi))
+                  for phi in injective_classes(F, X, hom_basis(X, M))]
+        if images:
+            embedded.append((_full_scan_root_measure(Q, F, d), images))
+    target = max_measure(m for m, _ in embedded) if embedded else ()
+    return target + (sum(M.dims),), [w for m, ims in embedded if m == target for w in ims]
+
+
+@lru_cache(maxsize=None)
+def _full_scan_root_measure(Q, F, d):
+    return _full_scan(build_preprojective(Q, F, d))[0]
+
+
+def _assert_matches_the_full_scan(M):
+    measure, witnesses = _full_scan(M)
+    assert gr._measure_over_roots(M) == measure, (M.quiver, M.field, M.dims)
+    assert gr._measure_and_submodules(M)[0] == measure, (M.quiver, M.field, M.dims)
+    assert _witness_spaces(M) == witnesses, (M.quiver, M.field, M.dims)
+
+
+def _d4_roots():
     delta = radical_delta(D4)
     roots = [x for x in positive_real_roots(D4, tuple(2 * d for d in delta))
              if defect(D4, x) < 0 and sum(x) <= 12]
     assert len(roots) == 18
+    return roots
+
+
+def _homogeneous_modules():
+    out = [(name, q, label, R)
+           for name in ("dtilde:4", "dtilde:5", "dtilde:6", "e6tilde")
+           for q in (3, 4, 5)
+           for label, R in build_homogeneous_simples(preset_quiver(name), field(q))]
+    assert len(out) == 24
+    return out
+
+
+def test_best_first_scan_matches_the_full_scan_on_d4_roots():
     for q in (2, 3, 5):
-        F = field(q)
-        for x in roots:
-            M = build_preprojective(D4, F, x)
-            assert _witness_spaces(M) == _two_pass_gr_submodules(M), (x, q)
+        for x in _d4_roots():
+            _assert_matches_the_full_scan(build_preprojective(D4, field(q), x))
 
 
-def test_one_pass_submodules_match_the_two_pass_form_on_homogeneous_modules():
-    checked = 0
-    for name in ("dtilde:4", "dtilde:5", "dtilde:6", "e6tilde"):
-        Q = preset_quiver(name)
-        for q in (3, 4, 5):
-            for label, R in build_homogeneous_simples(Q, field(q)):
-                got = _witness_spaces(R)
-                assert got and got == _two_pass_gr_submodules(R), (name, q, label)
-                checked += 1
-    assert checked == 24
+def test_best_first_scan_matches_the_full_scan_on_homogeneous_modules():
+    for name, q, label, R in _homogeneous_modules():
+        assert _full_scan(R)[1], (name, q, label)
+        _assert_matches_the_full_scan(R)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 12), max_size=8), st.lists(st.integers(1, 12), max_size=8))
+@example([1, 2], [1, 2, 3])
+@example([], [1])
+@example([2, 5], [5, 2, 2])
+def test_measure_key_orders_as_compare_measures(I, J):
+    a, b = measure_key(I), measure_key(J)
+    assert compare_measures(I, J) == ("<" if a < b else ">" if a > b else "=")
 
 
 # -- root engine against the exhaustive engine ----------------------------
@@ -99,19 +149,55 @@ def _short_real_roots(name):
     return [x for x in positive_real_roots(Q, (8,) * Q.n) if sum(x) <= 8]
 
 
-@st.composite
-def preprojective_bricks(draw):
-    """A preprojective of length <= 8 on a random orientation of the
-    Kronecker quiver, D~4 or D~5, over GF(2) or GF(3)."""
-    name = draw(st.sampled_from(("kronecker", "dtilde:4", "dtilde:5")))
+def _draw_orientation(draw, name):
+    """A random orientation of the preset `name` (the Kronecker pair flips together)."""
     P = preset_quiver(name)
     if P.n == 2:
         flips = [draw(st.booleans())] * len(P.arrows)
     else:
         flips = draw(st.lists(st.booleans(), min_size=len(P.arrows), max_size=len(P.arrows)))
-    Q = Quiver(P.n, tuple((t, s) if f else (s, t) for f, (s, t) in zip(flips, P.arrows)))
-    x = draw(st.sampled_from([x for x in _short_real_roots(name) if defect(Q, x) < 0]))
+    return Quiver(P.n, tuple((t, s) if f else (s, t) for f, (s, t) in zip(flips, P.arrows)))
+
+
+def _draw_preprojective_root(draw, name, Q):
+    return draw(st.sampled_from([x for x in _short_real_roots(name) if defect(Q, x) < 0]))
+
+
+@st.composite
+def preprojective_bricks(draw):
+    """A preprojective of length <= 8 on a random orientation of the
+    Kronecker quiver, D~4 or D~5, over GF(2) or GF(3)."""
+    name = draw(st.sampled_from(("kronecker", "dtilde:4", "dtilde:5")))
+    Q = _draw_orientation(draw, name)
+    x = _draw_preprojective_root(draw, name, Q)
     return build_preprojective(Q, field(draw(st.sampled_from((2, 3)))), x)
+
+
+@lru_cache(maxsize=None)
+def _homogeneous_family(Q, q):
+    return [R for _, R in build_homogeneous_simples(Q, field(q))]
+
+
+@st.composite
+def preprojective_targets(draw):
+    """(X, M) on a random orientation of the Kronecker quiver, D~4 or D~5
+    over GF(2..5): X a preprojective of length <= 8, and M a preprojective
+    of length <= 8 or a homogeneous module of dimension delta."""
+    name = draw(st.sampled_from(("kronecker", "dtilde:4", "dtilde:5")))
+    Q = _draw_orientation(draw, name)
+    F = field(draw(st.sampled_from((2, 3, 4, 5))))
+    X = build_preprojective(Q, F, _draw_preprojective_root(draw, name, Q))
+    family = _homogeneous_family(Q, F.q)
+    if family and draw(st.booleans()):
+        return X, draw(st.sampled_from(family))
+    return X, build_preprojective(Q, F, _draw_preprojective_root(draw, name, Q))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(preprojective_targets())
+def test_hom_from_a_preprojective_is_read_off_the_euler_form(case):
+    X, M = case
+    assert hom_dim(X, M) == max(euler_form(X.quiver, X.dims, M.dims), 0)
 
 
 def _keyed(wits):
@@ -132,6 +218,7 @@ def test_root_engine_matches_the_exhaustive_engine(M):
         exhaustive = gr_submodules(M)
     assert gr._measure_over_roots(M) == measure
     assert _keyed(root) == _keyed(exhaustive)
+    _assert_matches_the_full_scan(M)
 
 
 # -- exhaustive engine ----------------------------------------------------
