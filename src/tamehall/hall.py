@@ -35,7 +35,7 @@ from .gf import (
 )
 # Kept bound although unused: bench/test_bench_tracer.py expects hall and gr to share it.
 from .homreg import build_homogeneous_simples  # noqa: F401
-from .homreg import homogeneous_simples
+from .homreg import sink_family
 from .quiver import Quiver, defect, radical_delta, reflect_to_simple, reorient_toward, tits_form
 from .reps import (
     Rep,
@@ -238,29 +238,36 @@ def hall_number_sink_lines(R: Rep, i: int) -> int:
 def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...],
                   cross_check: bool = True) -> list[tuple[int, int]]:
     """One-sink counts over the given fields, one homogeneous module per
-    field (the first that `homogeneous_simples` finds).  At the smallest
+    field (the first that `homreg.sink_family` yields).  At the smallest
     field that carries a second homogeneous module, the count is
-    recomputed there and must agree; labels are arbitrary, counts are not.
+    recomputed there and must agree; the count does not depend on the
+    module.
 
-    Only the members read are built: the first of each field's scan, and
-    the second while the cross-check is still pending (a field with one
-    homogeneous module is then scanned to the end of its line)."""
-    expected = _minus_unit(radical_delta(Q), i)
+    The family is built once per underlying graph and field, in one base
+    orientation, and each member read is moved to Q by sink reflections:
+    s_v delta = delta, the reflection keeps End on modules with no simple
+    summand S_v, and it commutes with tau on regular modules, so it sends
+    homogeneous simples to homogeneous simples.  Every moved module read
+    is still tested by `is_simple_homogeneous` on Q.  Only the members
+    read are built: the first of each field's scan, and the second while
+    the cross-check is still pending (a field with one homogeneous module
+    is then scanned to the end of its line)."""
+    expected = _minus_unit(_sink_delta(Q, i), i)
     out = []
     checked = False
     for q in fields:
         if q < 3:
             raise InvalidInputError("sampling fields must have at least 3 elements")
         F = field(q)
-        family = homogeneous_simples(Q, F)
+        family = sink_family(Q, F)
         first = next(family, None)
         if first is None:
             raise InternalInconsistencyError(f"no homogeneous module over GF({q})")
         I = build_preinjective(Q, F, expected)
-        count = hall_number_sink_fast(first[1], i, I)
+        count = hall_number_sink_fast(first, i, I)
         second = next(family, None) if cross_check and not checked else None
         if second is not None:
-            other = hall_number_sink_fast(second[1], i, I)
+            other = hall_number_sink_fast(second, i, I)
             if other != count:
                 raise VerificationError(
                     f"count over GF({q}) depends on the homogeneous module: {count} vs {other}")

@@ -12,16 +12,32 @@ the points 0, 1, -1 and infinity last, since the exceptional tubes of the
 D~ and E~ quivers sit at three of them (Dlab-Ringel, Mem. AMS 173, 1976;
 Ringel, LNM 1099, 3.6).  `build_homogeneous_simples` lists the whole
 family in line order, for callers that index into it or count it.
+
+`sink_family` serves the one-sink table, whose rows orient one
+underlying graph toward different sinks.  It scans each family once per
+(underlying graph, field), in the orientation of the first row that asks
+for it, and moves each member a later row reads to that row's
+orientation along a word of sink reflections (`quiver.sink_sequence_to`).
+The move is sound: s_v delta = delta, since delta is radical; sigma_v^+
+is an equivalence between the modules with no summand S_v on the two
+orientations, so it keeps End; and it commutes with tau on regular
+modules (Bernstein-Gelfand-Ponomarev 1973; Dlab-Ringel, Mem. AMS 173,
+1976).  So a homogeneous simple moves to a homogeneous simple.  Each
+moved module read is still put through `is_simple_homogeneous` on its
+new quiver.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import count
 
 from .errors import InternalInconsistencyError, InvalidInputError
-from .functors import build_preinjective, tau
+from .functors import build_preinjective, reflect_plus, tau
 from .gf import Field
-from .quiver import Quiver, defect, euler_form, is_affine, radical_delta
+from .quiver import Quiver, defect, euler_form, is_affine, radical_delta, sink_sequence_to
 from .reps import (
     Rep,
     ext_space,
@@ -122,3 +138,53 @@ def build_homogeneous_simples(Q: Quiver, F: Field) -> list[tuple[str, Rep]]:
     'inf', whatever order `homogeneous_simples` tests the points in."""
     return sorted(homogeneous_simples(Q, F),
                   key=lambda member: F.q if member[0] == "inf" else int(member[0]))
+
+
+@dataclass
+class _Family:
+    """One underlying graph's homogeneous family over one field, as far as
+    it has been read: the orientation of the first quiver that asked for
+    it, the scan of that orientation's extension line, and the members the
+    scan has yielded."""
+
+    base: Quiver | None = None
+    scan: Iterator[tuple[str, Rep]] | None = None
+    members: list[Rep] = field(default_factory=list)
+
+
+@lru_cache(maxsize=None)
+def _graph_family(graph: tuple[int, tuple[tuple[int, int], ...]], F: Field) -> _Family:
+    return _Family()
+
+
+def sink_family(Q: Quiver, F: Field) -> Iterator[Rep]:
+    """The homogeneous simples of the one-sink quiver Q over F, yielded
+    lazily.  The family of Q's underlying graph is scanned once per field,
+    in the orientation of the first quiver that asks for it; a later
+    quiver gets each member moved to it by the sink reflections of
+    `sink_sequence_to`, in the same order, and a moved member that fails
+    `is_simple_homogeneous` on Q raises InternalInconsistencyError.  A
+    graph with no reflection word (a cycle) is scanned per orientation."""
+    sinks = Q.sinks()
+    if len(sinks) != 1:
+        raise InvalidInputError("the homogeneous family is moved only between one-sink quivers")
+    if not (Q.is_tree() or Q.n == 2):
+        yield from (M for _, M in homogeneous_simples(Q, F))
+        return
+    family = _graph_family((Q.n, tuple(sorted(Q.underlying_edges()))), F)
+    if family.base is None:
+        family.base, family.scan = Q, homogeneous_simples(Q, F)
+    word = sink_sequence_to(family.base, sinks[0])
+    for k in count():
+        if k == len(family.members):
+            member = next(family.scan, None)
+            if member is None:
+                return
+            family.members.append(member[1])
+        M = family.members[k]
+        for v in word:
+            M = reflect_plus(M, v)
+        if word and not is_simple_homogeneous(M):
+            raise InternalInconsistencyError(
+                f"module moved to sink {sinks[0]} is not homogeneous simple")
+        yield M

@@ -474,30 +474,32 @@ def reorient_toward(Q: Quiver, sink: int) -> Quiver:
     return Quiver(Q.n, tuple(arrows))
 
 
+@lru_cache(maxsize=None)
 def sink_sequence_to(Q: Quiver, i: int) -> tuple[int, ...]:
     """Word of sink reflections turning Q into its all-arrows-toward-i
-    orientation, never reflecting at i or at a neighbour of i.
+    orientation.  When i is a sink of Q, the word never reflects at i or
+    at a neighbour of i.
 
-    Requires the underlying graph to be a tree and i to be a sink of Q.
-    Each wrongly oriented edge is fixed by reflecting through an admissible
-    ordering of the far-side component, which flips exactly that edge.
+    Requires the underlying graph to be a tree or the double edge on two
+    vertices.  Each wrongly oriented edge is fixed by reflecting through an
+    admissible ordering of the far-side component, which flips exactly
+    that edge: the far endpoint's edge toward i points into it, and every
+    edge inside the component is flipped twice.  The two arrows of the
+    double edge share their far vertex, so they are fixed in one step.
     """
-    if not Q.is_tree():
-        raise InvalidInputError("sink words are defined for trees only")
-    if not Q.is_sink(i):
-        raise InvalidInputError(f"vertex {i} must be a sink")
+    if not (Q.is_tree() or Q.n == 2):
+        raise InvalidInputError("sink words are defined for trees and the double edge only")
     target = reorient_toward(Q, i)
     dist = _tree_distances(Q, i)
-    forbidden = {i} | {u for u, v in Q.underlying_edges() if v == i} | {v for u, v in Q.underlying_edges() if u == i}
-    wrong = []
-    for (s, t), (s2, t2) in zip(Q.arrows, target.arrows):
-        if (s, t) != (s2, t2):
-            far = s2  # target orientation points far -> near
-            wrong.append((dist[far], far, (s, t)))
-    wrong.sort()
+    forbidden = set()
+    if Q.is_sink(i):
+        forbidden = {i} | {u for u, v in Q.underlying_edges() if v == i} | {v for u, v in Q.underlying_edges() if u == i}
+    # target orientation points far -> near; a far vertex names one edge
+    wrong = sorted({(dist[far], far) for (far, near), arrow in zip(target.arrows, Q.arrows)
+                    if (far, near) != arrow})
     cur = Q
     word: list[int] = []
-    for _, far, _ in wrong:
+    for _, far in wrong:
         # w is on the far side of the edge toward i when the path from i
         # to w runs through far
         dist_far = _tree_distances(Q, far)

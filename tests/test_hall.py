@@ -429,6 +429,9 @@ def test_sample_counts_builds_only_the_members_it_reads(monkeypatch):
     calls = []
     monkeypatch.setattr(homreg, "is_simple_homogeneous",
                         lambda M: calls.append(M) or real(M))
+    # the family memo outlives a call: start from an empty one, so that D4
+    # is the orientation each field's family is built in
+    homreg._graph_family.cache_clear()
     # the exceptional tubes of D~4 sit at 0, 1 and inf, which are scanned
     # last: without the cross-check, GF(5) tests one point ('2')
     sample_counts(D4, D4_SINK, (5,), cross_check=False)
@@ -441,6 +444,27 @@ def test_sample_counts_builds_only_the_members_it_reads(monkeypatch):
     calls.clear()
     sample_counts(D4, D4_SINK, (3,))
     assert len(calls) == 3 + 1
+    # another orientation of the same graph reads the built member, moved
+    # by sink reflections and tested once on its new quiver
+    calls.clear()
+    Q0 = reorient_toward(D4, 0)
+    sample_counts(Q0, 0, (5,), cross_check=False)
+    assert [M.quiver for M in calls] == [Q0]
+
+
+def test_hall_table_builds_one_family_per_field(monkeypatch):
+    real = homreg.regular_pair
+    calls = []
+    monkeypatch.setattr(homreg, "regular_pair",
+                        lambda Q, F: calls.append((Q, F.q)) or real(Q, F))
+    homreg._graph_family.cache_clear()
+    Q = preset_quiver("e7tilde")
+    rows = hall_table(Q)
+    # rows m = 1..4 sample GF(3), GF(3..4), GF(3..5), GF(3..7), each
+    # verified at GF(11) and GF(13): 18 (row, field) pairs, 6 fields
+    assert not table_mismatches(rows)
+    assert sum(len(r.poly.samples) + len(r.poly.verified_at) for r in rows) == 18
+    assert sorted(q for _, q in calls) == [3, 4, 5, 7, 11, 13]
 
 
 def test_sample_counts_cross_check_compares_two_modules(monkeypatch):
@@ -451,6 +475,7 @@ def test_sample_counts_cross_check_compares_two_modules(monkeypatch):
         return len(seen)
 
     monkeypatch.setattr(hall, "hall_number_sink_fast", fake_count)
+    homreg._graph_family.cache_clear()  # D4's own family, not a moved one
     with pytest.raises(VerificationError):
         sample_counts(D4, D4_SINK, (4,))
     fam = build_homogeneous_simples(D4, field(4))

@@ -2,17 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tamehall import homreg
 from tamehall.errors import InvalidInputError
-from tamehall.functors import tau
+from tamehall.functors import build_preinjective, reflect_minus, reflect_plus, tau
 from tamehall.gf import field
+from tamehall.hall import hall_number_sink_fast
 from tamehall.homreg import (
     build_homogeneous_simples,
     homogeneous_simples,
     is_simple_homogeneous,
     regular_pair,
+    sink_family,
 )
-from tamehall.quiver import preset_quiver, radical_delta
+from tamehall.quiver import Quiver, preset_quiver, radical_delta, reorient_toward
 from tamehall.reps import (
     Rep,
     direct_sum,
@@ -146,3 +151,74 @@ def test_larger_types_build():
         _, M = fam[0]
         assert M.dims == radical_delta(Q)
         assert is_brick(M)
+
+
+# ------------------------------------------------ the family moved by reflections
+
+AFFINE_PRESETS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde", "e8tilde")
+
+
+def _sink_count(R, i):
+    Q, F = R.quiver, R.field
+    dims = tuple(d - (j == i) for j, d in enumerate(radical_delta(Q)))
+    return hall_number_sink_fast(R, i, build_preinjective(Q, F, dims))
+
+
+@pytest.mark.parametrize("name", AFFINE_PRESETS)
+@pytest.mark.parametrize("q", [3, 4])
+def test_moved_family_matches_the_per_orientation_build(name, q):
+    """The family is built at the first sink asked for and moved to every
+    other sink; the oracle builds it afresh in each orientation."""
+    Q, F = preset_quiver(name), field(q)
+    delta = radical_delta(Q)
+    sinks = [i for i in range(Q.n) if delta[i] <= 4]  # seconds per count above
+    homreg._graph_family.cache_clear()
+    try:
+        for i in sinks:
+            Qi = reorient_toward(Q, i)
+            moved = list(itertools.islice(sink_family(Qi, F), 2))
+            direct = next(homogeneous_simples(Qi, F))[1]
+            assert moved, f"no homogeneous module at sink {i}"
+            for M in moved:
+                assert M.quiver == Qi and M.dims == delta
+                assert is_simple_homogeneous(M)
+                assert _sink_count(M, i) == _sink_count(direct, i)
+    finally:
+        homreg._graph_family.cache_clear()
+
+
+def test_sink_family_rejects_quivers_with_several_sinks():
+    with pytest.raises(InvalidInputError):
+        next(sink_family(Quiver(5, ((2, 0), (2, 1), (3, 2), (4, 2))), field(3)))
+
+
+def test_sink_family_scans_a_cycle_in_its_own_orientation():
+    # a one-sink orientation of a cycle has no reflection word to move by
+    Q = Quiver(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    F = field(3)
+    got = list(sink_family(Q, F))
+    want = [M for _, M in homogeneous_simples(Q, F)]
+    assert 0 < len(got) == len(want)
+    assert all(reps_equal(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def one_sink_homogeneous(draw):
+    """A homogeneous simple on a random one-sink orientation of an affine
+    preset, read through the moved family."""
+    name = draw(st.sampled_from(AFFINE_PRESETS))
+    Q = preset_quiver(name)
+    i = draw(st.integers(0, Q.n - 1))
+    F = field(draw(st.sampled_from((3, 4, 5))))
+    members = list(itertools.islice(sink_family(reorient_toward(Q, i), F), 2))
+    return i, draw(st.sampled_from(members))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(one_sink_homogeneous())
+def test_reflect_minus_undoes_reflect_plus_on_homogeneous(case):
+    i, E = case
+    N = reflect_plus(E, i)
+    assert N.dims == E.dims and is_simple_homogeneous(N)
+    assert is_isomorphic(reflect_minus(N, i), E)

@@ -533,12 +533,41 @@ def test_sink_sequence_trivial_when_already_oriented():
     assert sink_sequence_to(Q, i) == ()
 
 
-def test_sink_sequence_rejects_non_sink_and_non_tree():
+def test_sink_sequence_reaches_target_from_non_sink_orientations():
+    """The word reaches the orientation toward i from any orientation of a
+    tree or of the Kronecker quiver, also when i is not a sink."""
+    rng = random.Random(23)
+    for name in ["kronecker", "a:5", "d:6", "dtilde:4", "dtilde:5", "dtilde:6",
+                 "e6tilde", "e7tilde", "e8tilde"]:
+        base = preset_quiver(name)
+        tried = 0
+        while tried < 6:
+            flips = [rng.random() < 0.5 for _ in base.arrows]
+            if name == "kronecker":
+                flips = [flips[0]] * 2
+            Q = Quiver(base.n, tuple((t, s) if f else (s, t)
+                                     for f, (s, t) in zip(flips, base.arrows)))
+            others = [v for v in range(Q.n) if not Q.is_sink(v)]
+            if not others:
+                continue
+            tried += 1
+            i = rng.choice(others)
+            cur = Q
+            for v in sink_sequence_to(Q, i):
+                assert v != i and cur.is_sink(v)
+                cur = sigma_reverse(cur, v)
+            assert cur == reorient_toward(Q, i)
+
+
+def test_sink_sequence_accepts_non_sink_and_rejects_cycles():
     Q = preset_quiver("a:3")
+    assert sink_sequence_to(Q, 0) == (2, 1, 2)
+    assert sink_sequence_to(kronecker(), 0) == (1,)
+    cycle = Quiver(4, ((0, 1), (1, 2), (0, 3), (3, 2)))
     with pytest.raises(InvalidInputError):
-        sink_sequence_to(Q, 0)
+        sink_sequence_to(cycle, 2)
     with pytest.raises(InvalidInputError):
-        sink_sequence_to(kronecker(), 1)
+        sink_sequence_to(Q, 3)
 
 
 # ---------------------------------------------------------------- parsing

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,8 +8,19 @@ from hypothesis import strategies as st
 
 from tamehall import gf
 from tamehall.errors import InfeasibleEnumerationError, InvalidInputError
+from tamehall.functors import build_preinjective, build_preprojective, reflect_minus
 from tamehall.gf import enumerate_subspaces, field, rank
-from tamehall.quiver import Quiver, euler_form, preset_quiver
+from tamehall.homreg import is_simple_homogeneous, sink_family
+from tamehall.quiver import (
+    Quiver,
+    defect,
+    euler_form,
+    positive_real_roots,
+    preset_quiver,
+    radical_delta,
+    reorient_toward,
+    sink_sequence_to,
+)
 from tamehall.reps import (
     Rep,
     direct_sum,
@@ -268,6 +280,58 @@ def test_euler_form_is_hom_minus_ext():
             for M in mods:
                 for N in mods:
                     assert hom_dim(M, N) - ext1_dim(M, N) == euler_form(Q, M.dims, N.dims)
+
+
+@lru_cache(maxsize=None)
+def _roots_below_delta(Q, sign):
+    """The real roots x <= delta of Q whose defect has the given sign."""
+    return tuple(x for x in positive_real_roots(Q, radical_delta(Q))
+                 if defect(Q, x) * sign > 0)
+
+
+@lru_cache(maxsize=None)
+def _homogeneous_on(Q, F):
+    """A homogeneous simple of Q: built on the one-sink orientation at a
+    vertex i, then taken back to Q by the source reflections that undo the
+    word of sink reflections from Q to that orientation."""
+    i = radical_delta(Q).index(1)
+    E = next(sink_family(reorient_toward(Q, i), F))
+    for v in reversed(sink_sequence_to(Q, i)):
+        E = reflect_minus(E, v)
+    assert E.quiver == Q and is_simple_homogeneous(E)
+    return E
+
+
+@st.composite
+def affine_sums(draw):
+    """Two direct sums of two indecomposables each, every summand a
+    preprojective or preinjective with root below delta or a homogeneous
+    simple, on one random orientation of an affine preset."""
+    base = preset_quiver(draw(st.sampled_from(AFFINE_PRESETS)))
+    flips = draw(st.lists(st.booleans(), min_size=len(base.arrows), max_size=len(base.arrows)))
+    if base.n == 2:                                # the Kronecker pair flips together
+        flips = [flips[0]] * 2
+    Q = Quiver(base.n, tuple((t, s) if f else (s, t) for f, (s, t) in zip(flips, base.arrows)))
+    F = field(draw(st.sampled_from((3, 4, 5))))
+
+    def summand():
+        kind = draw(st.sampled_from(("prep", "prei", "homog")))
+        event(kind)
+        if kind == "homog":
+            return _homogeneous_on(Q, F)
+        if kind == "prep":
+            return build_preprojective(Q, F, draw(st.sampled_from(_roots_below_delta(Q, -1))))
+        return build_preinjective(Q, F, draw(st.sampled_from(_roots_below_delta(Q, 1))))
+
+    return direct_sum(summand(), summand()), direct_sum(summand(), summand())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(affine_sums())
+def test_euler_form_is_hom_minus_ext_on_generated_sums(case):
+    M, N = case
+    assert hom_dim(M, N) - ext1_dim(M, N) == euler_form(M.quiver, M.dims, N.dims)
 
 
 def test_projectives_and_injectives_have_no_ext():
