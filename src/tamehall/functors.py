@@ -18,8 +18,8 @@ from .gf import Field, field, kernel_basis
 from .quiver import (
     Quiver,
     admissible_sink_order,
-    coxeter_inverse,
     defect,
+    injective_walk,
     is_affine,
     opposite,
     sigma_reverse,
@@ -86,15 +86,11 @@ def _walk(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
     """Indecomposable with preinjective real root x of Q, built by walking
     the root to an injective and translating back; `kind` names the root
     in the error messages."""
-    # apply Phi^-1 until x becomes the dimension vector of an injective
-    known = {injective_rep(Q, F, j).dims: j for j in range(Q.n)}
-    step = coxeter_inverse(Q)
-    y, r = np.array(x, dtype=np.int64), 0
-    while tuple(y) not in known:
-        y, r = step @ y, r + 1
-        if (y < 0).any() or not y.any() or r > sum(x) + 4 * Q.n:
-            raise InvalidInputError(f"{x} is not a {kind} root")
-    N = injective_rep(Q, F, known[tuple(y)])
+    walked = injective_walk(Q, x)
+    if walked is None:
+        raise InvalidInputError(f"{x} is not a {kind} root")
+    j, r = walked
+    N = injective_rep(Q, F, j)
     for _ in range(r):
         N = tau(N)
     if N.dims != x:

@@ -36,7 +36,7 @@ from .gf import (
 # Kept bound although unused: bench/test_bench_tracer.py expects hall and gr to share it.
 from .homreg import build_homogeneous_simples  # noqa: F401
 from .homreg import sink_family
-from .quiver import Quiver, defect, radical_delta, reflect_to_simple, reorient_toward, tits_form
+from .quiver import Quiver, defect, injective_walk, opposite, radical_delta, reorient_toward, tits_form
 from .reps import (
     Rep,
     end_dim,
@@ -235,8 +235,7 @@ def hall_number_sink_lines(R: Rep, i: int) -> int:
 # -- sampling and interpolation ----------------------------------------
 
 
-def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...],
-                  cross_check: bool = True) -> list[tuple[int, int]]:
+def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...]) -> list[tuple[int, int]]:
     """One-sink counts over the given fields, one homogeneous module per
     field (the first that `homreg.sink_family` yields).  At the smallest
     field that carries a second homogeneous module, the count is
@@ -265,7 +264,7 @@ def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...],
             raise InternalInconsistencyError(f"no homogeneous module over GF({q})")
         I = build_preinjective(Q, F, expected)
         count = hall_number_sink_fast(first, i, I)
-        second = next(family, None) if cross_check and not checked else None
+        second = next(family, None) if not checked else None
         if second is not None:
             other = hall_number_sink_fast(second, i, I)
             if other != count:
@@ -347,16 +346,19 @@ def hall_poly_f(Q: Quiver, i: int) -> HallPolynomial:
 
 
 def hall_poly_for_root(Q: Quiver, x: tuple[int, ...]) -> HallPolynomial:
-    """Count polynomial attached to a preprojective real root x: reflect
-    x to a simple, reorient the quiver into a one-sink quiver at that
-    vertex, and compute the sink polynomial there.  The sink entry of
-    delta must equal -defect(x)."""
+    """Count polynomial attached to a preprojective real root x: find the
+    j with Phi^r x = dim P_j by the Coxeter walk on Q^op, reorient the
+    quiver into a one-sink quiver at j, and compute the sink polynomial
+    there.  The sink entry of delta must equal -defect(x)."""
     if tits_form(Q, x) != 1:
         raise InvalidInputError(f"{x} is not a real root")
     d = defect(Q, x)
     if d >= 0:
         raise InvalidInputError(f"root {x} has defect {d}, expected negative")
-    i, _, _ = reflect_to_simple(Q, x)
+    walked = injective_walk(opposite(Q), x)
+    if walked is None:
+        raise InternalInconsistencyError(f"{x} reaches no projective along the Coxeter walk")
+    i = walked[0]
     Qi = reorient_toward(Q, i)
     delta = radical_delta(Q)
     if delta[i] != -d:

@@ -17,7 +17,8 @@ family in line order, for callers that index into it or count it.
 underlying graph toward different sinks.  It scans each family once per
 (underlying graph, field), in the orientation of the first row that asks
 for it, and moves each member a later row reads to that row's
-orientation along a word of sink reflections (`quiver.sink_sequence_to`).
+orientation along a word of sink reflections (`quiver.sink_sequence_to`),
+which exists when the graph is a tree or the double edge.
 The move is sound: s_v delta = delta, since delta is radical; sigma_v^+
 is an equivalence between the modules with no summand S_v on the two
 orientations, so it keeps End; and it commutes with tau on regular
@@ -164,17 +165,14 @@ def sink_family(Q: Quiver, F: Field) -> Iterator[Rep]:
     quiver gets each member moved to it by the sink reflections of
     `sink_sequence_to`, in the same order, and a moved member that fails
     `is_simple_homogeneous` on Q raises InternalInconsistencyError.  A
-    graph with no reflection word (a cycle) is scanned per orientation."""
+    cycle has no reflection word and raises InvalidInputError."""
     sinks = Q.sinks()
     if len(sinks) != 1:
         raise InvalidInputError("the homogeneous family is moved only between one-sink quivers")
-    if not (Q.is_tree() or Q.n == 2):
-        yield from (M for _, M in homogeneous_simples(Q, F))
-        return
     family = _graph_family((Q.n, tuple(sorted(Q.underlying_edges()))), F)
+    word = sink_sequence_to(family.base or Q, sinks[0])
     if family.base is None:
         family.base, family.scan = Q, homogeneous_simples(Q, F)
-    word = sink_sequence_to(family.base, sinks[0])
     for k in count():
         if k == len(family.members):
             member = next(family.scan, None)

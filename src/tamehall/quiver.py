@@ -63,20 +63,7 @@ class Quiver:
             raise QuiverStructureError("quiver has an oriented cycle", code="cycle")
 
     def _check_connected(self):
-        if self.n == 1:
-            return
-        adj = {v: set() for v in range(self.n)}
-        for s, t in self.arrows:
-            adj[s].add(t)
-            adj[t].add(s)
-        stack, seen = [0], {0}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != self.n:
+        if -1 in _breadth_first(self, 0)[0]:
             raise QuiverStructureError("underlying graph is disconnected", code="disconnected")
 
     # -- local structure ------------------------------------------------
@@ -139,16 +126,15 @@ def opposite(Q: Quiver) -> Quiver:
     return Quiver(Q.n, tuple((t, s) for s, t in Q.arrows))
 
 
-def admissible_sink_order(Q: Quiver, vertices=None) -> tuple[int, ...]:
-    """Ordering of `vertices` (default: all of them) in which each vertex is
-    a sink of the subquiver on the vertices not yet taken; ties broken by
-    smallest index.
+def admissible_sink_order(Q: Quiver) -> tuple[int, ...]:
+    """Ordering of the vertices in which each vertex is a sink of the
+    subquiver on the vertices not yet taken; ties broken by smallest index.
 
     Reversing at a vertex already taken only flips the arrows incident to
     it, so the arrows among the remaining vertices are still Q's own and
     each vertex is a sink of the reflected quiver at its turn.
     """
-    remaining = set(range(Q.n) if vertices is None else vertices)
+    remaining = set(range(Q.n))
     targets = {v: {t for s, t in Q.arrows if s == v} for v in remaining}
     order = []
     while remaining:
@@ -361,11 +347,6 @@ def unit_vector(n: int, i: int) -> DimVector:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def reflect_dimvec(Q: Quiver, i: int, x) -> DimVector:
-    """Simple reflection s_i of the underlying diagram applied to x."""
-    return tuple(int(v) for v in _reflection_matrix(Q, i) @ np.array(x, dtype=np.int64))
-
-
 def _reflection_matrix(Q: Quiver, i: int) -> np.ndarray:
     S = np.eye(Q.n, dtype=np.int64)
     S[i, i] = -1
@@ -400,119 +381,99 @@ def coxeter_inverse(Q: Quiver) -> np.ndarray:
     return coxeter_matrix(opposite(Q))
 
 
-def reflect_to_simple(Q: Quiver, x) -> tuple[int, tuple[int, ...], Quiver]:
-    """Walk a preprojective root down to a simple projective by sink
-    reflections.
+def injective_dims(Q: Quiver) -> tuple[DimVector, ...]:
+    """dim I_j for each vertex j: its entry at v counts the paths from v
+    to j, summed over the arrows out of v.  The admissible sink order
+    takes every target of v before v."""
+    paths: list[list[int]] = [[] for _ in range(Q.n)]
+    for v in admissible_sink_order(Q):
+        paths[v] = [int(j == v) for j in range(Q.n)]
+        for s, t in Q.arrows:
+            if s == v:
+                paths[v] = [a + b for a, b in zip(paths[v], paths[t])]
+    return tuple(tuple(paths[v][j] for v in range(Q.n)) for j in range(Q.n))
 
-    Returns (vertex i, reflection word, final quiver): applying the word of
-    sink reflections to Q yields the final quiver, where x has become the
-    i-th unit vector and i is a sink.
-    """
-    x = tuple(int(v) for v in x)
-    delta = radical_delta(Q)
-    if tits_form(Q, x) != 1 or defect(Q, x) >= 0:
-        raise InvalidInputError(f"{x} is not a preprojective real root")
-    limit = Q.n * (sum(x) + sum(delta))
-    word: list[int] = []
-    cur = Q
-    y = x
-    steps = 0
-    while steps <= limit:
-        for i in admissible_sink_order(cur):
-            if y == unit_vector(Q.n, i):
-                return i, tuple(word), cur
-            y2 = reflect_dimvec(cur, i, y)
-            if any(v < 0 for v in y2) or not any(y2):
-                raise InternalInconsistencyError(
-                    f"reflection walk left the positive cone at {y} -> {y2}")
-            word.append(i)
-            y = y2
-            cur = sigma_reverse(cur, i)
-            steps += 1
-            if steps > limit:
-                break
-    raise InvalidInputError(
-        f"{x} is not preprojective: no simple reached within {limit} reflections")
+
+def injective_walk(Q: Quiver, x) -> tuple[int, int] | None:
+    """(j, r) with Phi^-r x = dim I_j: Phi^-1 applied to x until it is
+    the dimension vector of an injective.  None when the walk leaves the
+    positive cone first or takes more than sum(x) + 4n steps, so x is not
+    preinjective.  On Q^op the walk applies Phi of Q and ends at dim P_j
+    of Q, the vertex a preprojective root x of Q reflects to."""
+    known = {d: j for j, d in enumerate(injective_dims(Q))}
+    step = coxeter_inverse(Q)
+    y, r = np.array(x, dtype=np.int64), 0
+    while tuple(y) not in known:
+        y, r = step @ y, r + 1
+        if (y < 0).any() or not y.any() or r > sum(x) + 4 * Q.n:
+            return None
+    return known[tuple(y)], r
 
 
 # -- reorientation and sink words --------------------------------------
 
 
-def _tree_distances(Q: Quiver, root: int) -> list[int]:
-    adj: dict[int, set[int]] = {v: set() for v in range(Q.n)}
+def _breadth_first(Q: Quiver, root: int) -> tuple[list[int], list[int]]:
+    """One breadth-first pass from root: each vertex's distance (-1 when
+    unreached) and height, 0 at root and dropping by 1 along each arrow
+    the pass crosses, so along every arrow of a tree or the double edge."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(Q.n)}
     for s, t in Q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    dist = [-1] * Q.n
+        adj[s].append((t, -1))
+        adj[t].append((s, 1))
+    dist, height = [-1] * Q.n, [0] * Q.n
     dist[root] = 0
     frontier = [root]
     while frontier:
         nxt = []
         for v in frontier:
-            for w in adj[v]:
+            for w, step in adj[v]:
                 if dist[w] < 0:
-                    dist[w] = dist[v] + 1
+                    dist[w], height[w] = dist[v] + 1, height[v] + step
                     nxt.append(w)
         frontier = nxt
-    return dist
+    return dist, height
+
+
+def _check_tree(Q: Quiver) -> None:
+    if not (Q.is_tree() or (Q.n == 2 and len(Q.arrows) == 2)):
+        raise InvalidInputError("reorientation requires a tree (or the 2-vertex double edge)")
 
 
 def reorient_toward(Q: Quiver, sink: int) -> Quiver:
     """Orient every underlying edge toward `sink` along the unique path.
     Valid for trees and for the double edge on two vertices."""
-    if not (0 <= sink < Q.n):
-        raise InvalidInputError(f"sink {sink} out of range")
-    dist = _tree_distances(Q, sink)
-    arrows = []
-    for s, t in Q.arrows:
-        if dist[s] == dist[t]:
-            raise InvalidInputError("reorientation requires a tree (or the 2-vertex double edge)")
-        if dist[s] > dist[t]:
-            arrows.append((s, t))
-        else:
-            arrows.append((t, s))
-    return Quiver(Q.n, tuple(arrows))
+    Q._check_vertex(sink)
+    _check_tree(Q)
+    dist = _breadth_first(Q, sink)[0]
+    return Quiver(Q.n, tuple((s, t) if dist[s] > dist[t] else (t, s) for s, t in Q.arrows))
 
 
 @lru_cache(maxsize=None)
 def sink_sequence_to(Q: Quiver, i: int) -> tuple[int, ...]:
-    """Word of sink reflections turning Q into its all-arrows-toward-i
-    orientation.  When i is a sink of Q, the word never reflects at i or
-    at a neighbour of i.
+    """Word of sink reflections turning the tree (or double edge) Q into
+    its all-arrows-toward-i orientation.
 
-    Requires the underlying graph to be a tree or the double edge on two
-    vertices.  Each wrongly oriented edge is fixed by reflecting through an
-    admissible ordering of the far-side component, which flips exactly
-    that edge: the far endpoint's edge toward i points into it, and every
-    edge inside the component is flipped twice.  The two arrows of the
-    double edge share their far vertex, so they are fixed in one step.
-    """
-    if not (Q.is_tree() or Q.n == 2):
-        raise InvalidInputError("sink words are defined for trees and the double edge only")
-    target = reorient_toward(Q, i)
-    dist = _tree_distances(Q, i)
-    forbidden = set()
-    if Q.is_sink(i):
-        forbidden = {i} | {u for u, v in Q.underlying_edges() if v == i} | {v for u, v in Q.underlying_edges() if u == i}
-    # target orientation points far -> near; a far vertex names one edge
-    wrong = sorted({(dist[far], far) for (far, near), arrow in zip(target.arrows, Q.arrows)
-                    if (far, near) != arrow})
-    cur = Q
-    word: list[int] = []
-    for _, far in wrong:
-        # w is on the far side of the edge toward i when the path from i
-        # to w runs through far
-        dist_far = _tree_distances(Q, far)
-        comp = [w for w in range(Q.n) if dist_far[w] + dist[far] == dist[w]]
-        for v in admissible_sink_order(cur, comp):
-            if v in forbidden:
-                raise InternalInconsistencyError("sink word touched a forbidden vertex")
-            if not cur.is_sink(v):
-                raise InternalInconsistencyError(f"vertex {v} not a sink at its turn")
-            cur = sigma_reverse(cur, v)
-            word.append(v)
-    if cur != target:
-        raise InternalInconsistencyError("sink word did not produce the one-sink orientation")
+    One breadth-first pass from i gives each vertex v its distance d(v)
+    and its height h(v), which drops by 1 along every arrow, h(i) = 0; the
+    target is the orientation with h = d.  A sink reflection at v raises
+    h(v) by 2 and no other height; h(v) has the parity of d(v) and
+    |h(v)| <= d(v), so v owes (d(v) - h(v)) / 2 reflections.  The word
+    reflects at the smallest sink that owes one while any vertex owes.  An
+    owing v of least height is a sink: an arrow v -> w would give
+    h(w) = h(v) - 1, so w owes nothing by minimality and then
+    h(v) = d(w) + 1 >= d(v).  The vertex i owes nothing, nor, when i is a
+    sink, do its neighbours, so the word never reflects at them."""
+    Q._check_vertex(i)
+    _check_tree(Q)
+    dist, height = _breadth_first(Q, i)
+    owed = [(d - h) // 2 for d, h in zip(dist, height)]
+    cur, word = Q, []
+    while any(owed):
+        v = min(v for v in cur.sinks() if owed[v])
+        cur = sigma_reverse(cur, v)
+        owed[v] -= 1
+        word.append(v)
     return tuple(word)
 
 

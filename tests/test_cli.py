@@ -77,6 +77,20 @@ def test_bad_quiver_file_is_invalid_input(tmp_path, capsys):
     assert rc2 == 3
 
 
+@pytest.mark.parametrize("arrows", [((1, 2), (2, 3), (1, 3)),
+                                    ((1, 2), (2, 3), (3, 4), (1, 4))],
+                         ids=["3-cycle", "4-cycle"])
+def test_cycles_have_no_one_sink_reorientation(tmp_path, capsys, arrows):
+    n = len(arrows)
+    path = tmp_path / "cycle.quiver"
+    path.write_text(f"vertices {n}\n" + "".join(f"arrow {s} {t}\n" for s, t in arrows))
+    root = ",".join("1" if j == n - 1 else "0" for j in range(n))
+    for args in (("hall-table",), ("hall-poly", "--root", root)):
+        rc, out, err = run(capsys, *args, "--quiver-file", str(path))
+        assert rc == 3 and "PASS" not in out
+        assert "reorientation requires a tree (or the 2-vertex double edge)" in err
+
+
 def test_sink_with_file_rejected(tmp_path, capsys):
     path = tmp_path / "k.quiver"
     path.write_text("vertices 2\narrow 1 2\narrow 1 2\n")

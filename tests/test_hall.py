@@ -433,23 +433,24 @@ def test_sample_counts_builds_only_the_members_it_reads(monkeypatch):
     # is the orientation each field's family is built in
     homreg._graph_family.cache_clear()
     # the exceptional tubes of D~4 sit at 0, 1 and inf, which are scanned
-    # last: without the cross-check, GF(5) tests one point ('2')
-    sample_counts(D4, D4_SINK, (5,), cross_check=False)
-    assert len(calls) == 1
-    # with it, the scan goes on to the second member ('3' over GF(4)), and
-    # over GF(3), which carries one homogeneous module, to the end of the line
+    # last: GF(5) tests two points, '2' and '3', the two members the count
+    # and its cross-check read
+    sample_counts(D4, D4_SINK, (5,))
+    assert len(calls) == 2
+    # over GF(4) the scan goes on to the second member ('3'), and over
+    # GF(3), which carries one homogeneous module, to the end of the line
     calls.clear()
     sample_counts(D4, D4_SINK, (4,))
     assert len(calls) == 2
     calls.clear()
     sample_counts(D4, D4_SINK, (3,))
     assert len(calls) == 3 + 1
-    # another orientation of the same graph reads the built member, moved
-    # by sink reflections and tested once on its new quiver
+    # another orientation of the same graph reads the two built members,
+    # moved by sink reflections and each tested once on its new quiver
     calls.clear()
     Q0 = reorient_toward(D4, 0)
-    sample_counts(Q0, 0, (5,), cross_check=False)
-    assert [M.quiver for M in calls] == [Q0]
+    sample_counts(Q0, 0, (5,))
+    assert [M.quiver for M in calls] == [Q0, Q0]
 
 
 def test_hall_table_builds_one_family_per_field(monkeypatch):
