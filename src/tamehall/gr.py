@@ -15,9 +15,13 @@ their (cached) measures and tests embeddings best first, so the first
 root module that embeds gives the measure; roots whose Euler form with
 dim M is not positive have Hom(X, M) = 0 there and are never tested.  The
 two engines agree on their overlap, which the tests pin down.
+
+The exhaustive engine keeps only the indecomposable submodules.  A module
+is decided indecomposable by one count: End(M) is local exactly when its
+non-invertible elements number a power of q, and that power is then
+q^(dim rad End M), which the submodule count report reads too.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,10 +54,10 @@ from .reps import (
     enumerate_subreps,
     ext1_dim,
     hom_basis,
-    hom_combination,
     hom_dim,
     injective_classes,
     is_brick,
+    is_injective_morphism,
     is_isomorphic,
     morphism_image,
     sub_rep,
@@ -73,13 +77,22 @@ def as_measure(elems) -> Measure:
     return out
 
 
+def measure_key(I) -> tuple[int, ...]:
+    """Sort key of the measure order: the indicator vector of I over
+    1..max I.  Tuples compare at their first difference, which is the
+    smallest element of the symmetric difference, and rank higher the side
+    holding it.  When one vector is a proper prefix of the other, the
+    longer one ends in 1, at its measure's largest element, which the
+    shorter one lacks."""
+    s = set(I)
+    return tuple(int(k in s) for k in range(1, max(s, default=0) + 1))
+
+
 def compare_measures(I, J) -> str:
     """Total order on measures: smaller when the smallest element of the
     symmetric difference belongs to the other set."""
-    a, b = set(as_measure(I)), set(as_measure(J))
-    if a == b:
-        return "="
-    return "<" if min(a ^ b) in b else ">"
+    a, b = measure_key(as_measure(I)), measure_key(as_measure(J))
+    return "=" if a == b else "<" if a < b else ">"
 
 
 def measure_less(I, J) -> bool:
@@ -87,25 +100,10 @@ def measure_less(I, J) -> bool:
 
 
 def max_measure(measures) -> Measure:
-    best = None
-    for m in measures:
-        m = as_measure(m)
-        if best is None or measure_less(best, m):
-            best = m
-    if best is None:
+    measures = [as_measure(m) for m in measures]
+    if not measures:
         raise InvalidInputError("empty measure collection")
-    return best
-
-
-def measure_key(I) -> tuple[int, ...]:
-    """Sort key of the measure order: the indicator vector of I over
-    1..max I.  Tuples compare at their first difference, which is the
-    smallest element of the symmetric difference, and rank higher the side
-    holding it, as `compare_measures` does.  When one vector is a proper
-    prefix of the other, the longer one ends in 1, at its measure's largest
-    element, which the shorter one lacks."""
-    s = set(I)
-    return tuple(int(k in s) for k in range(1, max(s, default=0) + 1))
+    return max(measures, key=measure_key)
 
 
 def starts_with(I, J) -> bool:
@@ -157,19 +155,27 @@ def _ranked_roots(M: Rep) -> list:
     return ranked
 
 
-def _monomorphisms(M: Rep, d: tuple[int, ...]):
-    """The scalar classes of monomorphisms from the module of root d into M."""
-    X = _root_module(M.quiver, M.field, d)
-    return injective_classes(M.field, X, hom_basis(X, M))
+def _best_embeddings(M: Rep):
+    """Yield (measure, phi) for every scalar class of monomorphisms phi
+    from a root module into M whose measure is the best of the roots that
+    embed.  Roots come best measure first: the first one that embeds fixes
+    the measure, and the scan ends at the next smaller measure."""
+    Q, F = M.quiver, M.field
+    target = None
+    for d, m in _ranked_roots(M):
+        if target is not None and m != target:
+            return
+        X = _root_module(Q, F, d)
+        for phi in injective_classes(F, X, hom_basis(X, M)):
+            target = m
+            yield m, phi
 
 
 def _measure_over_roots(M: Rep) -> Measure:
     """Measure of M when every indecomposable submodule is known to be a
     preprojective root module: homogeneous modules and preprojective
-    bricks on an affine quiver.  The first root in measure order whose
-    module embeds gives it."""
-    best = next((m for d, m in _ranked_roots(M)
-                 if next(_monomorphisms(M, d), None) is not None), ())
+    bricks on an affine quiver."""
+    best, _ = next(_best_embeddings(M), ((), None))
     return best + (sum(M.dims),)
 
 
@@ -215,18 +221,46 @@ def _probe_signature(M: Rep):
     return (Q, F.q, M.dims, tuple(ins), tuple(outs))
 
 
-def is_indecomposable(M: Rep, budget: int = 2_000_000) -> bool:
-    """No idempotent endomorphisms besides 0 and the identity."""
+def _singular_power(F: Field, X: Rep, basis: list, budget: int) -> int | None:
+    """k when q^k combinations of the Hom(X, -) basis are not injective at
+    every vertex, else None.  A nonzero combination is non-injective
+    exactly when its whole scalar class is, so the count is q^(len basis)
+    less q - 1 per injective class."""
+    count = F.q ** len(basis) - (F.q - 1) * sum(1 for _ in injective_classes(F, X, basis, budget))
+    k = 0
+    while F.q ** k < count:
+        k += 1
+    return k if F.q ** k == count else None
+
+
+def _nilpotent(F: Field, phi) -> bool:
+    """phi^(2^k) = 0 at every vertex, with 2^k above the vertex dimension."""
+    for p in phi:
+        for _ in range(p.shape[0].bit_length()):
+            p = F.matmul(p, p)
+        if p.any():
+            return False
+    return True
+
+
+def _local_radical(M: Rep, budget: int) -> tuple[int, int | None]:
+    """(e, r) with e = dim End(M), and r = dim rad End(M) when End(M) is
+    local, that is when M is indecomposable (Fitting), else None.
+
+    The units of A = End(M) are the endomorphisms injective at every
+    vertex, so `_singular_power` counts the non-units.  A is local exactly
+    when they number a power of q, and that power is then q^r.  Proof:
+    write A/rad A = prod_i M_{n_i}(GF(q^{f_i})) (Wedderburn).  As
+    |GL_n(GF(Q))| = Q^(n(n-1)/2) prod_{k=1..n} (Q^k - 1), the non-units
+    number q^(r+c) T with T = q^N - prod_t (q^{a_t} - 1), a product of
+    sum_i n_i factors with a_t >= 1 summing to N.  T = +-1 mod q is prime
+    to q.  One factor (A/rad A a field) gives c = 0 and T = 1; two or more
+    give T >= q^{a_1} + q^(N - a_1) - 1 > 1."""
     if sum(M.dims) == 0:
-        return False
-    return _indecomposable_given_end(M, end_dim(M), budget)
-
-
-def _indecomposable_given_end(M: Rep, e: int, budget: int = 2_000_000) -> bool:
-    """is_indecomposable for a module M whose End(M) has dimension e
-    (0 exactly when M is zero)."""
-    if e <= 1:
-        return e == 1
+        return 0, None
+    e = end_dim(M)
+    if e == 1:
+        return e, 0
     # At a sink j, S_j = P_j is projective: when the arrows into j do not
     # span M_j, the onto map M -> top(M) -> S_j splits, and S_j is a proper
     # summand as e >= 2.  Dually (D M's arrows into j are the transposes of
@@ -237,65 +271,57 @@ def _indecomposable_given_end(M: Rep, e: int, budget: int = 2_000_000) -> bool:
         ins, outs = [M.mats[a] for a in Q.incoming(j)], [M.mats[a].T for a in Q.outgoing(j)]
         for span, other in ((ins, outs), (outs, ins)):
             if d and not other and rank(F, np.hstack([F.zeros(d, 0)] + span)) < d:
-                return False
-    basis = hom_basis(M, M)
-    if F.q ** len(basis) > budget:
+                return e, None
+    if F.q ** e > budget:
         raise InfeasibleEnumerationError(
-            f"{F.q}^{len(basis)} endomorphisms exceed budget", needed=F.q ** len(basis),
-            budget=budget)
-    nontrivial = 0
-    for coeffs in itertools.product(range(F.q), repeat=len(basis)):
-        phi = hom_combination(F, basis, np.array(coeffs, dtype=np.int64))
-        if all((F.matmul(p, p) == p).all() for p in phi):
-            nontrivial += 1
-            if nontrivial > 2:
-                return False
-    return nontrivial == 2
+            f"{F.q}^{e} endomorphisms exceed budget", needed=F.q ** e, budget=budget)
+    basis = hom_basis(M, M)
+    # Every element of a local ring is a unit or nilpotent: a basis element
+    # that is neither (a projection onto a summand, say) ends the test early.
+    if any(not is_injective_morphism(F, M, phi) and not _nilpotent(F, phi) for phi in basis):
+        return e, None
+    return e, _singular_power(F, M, basis, budget)
 
 
-def _measured_subreps(M: Rep, budget: int) -> list:
-    """(spaces, U, gr measure of U) for every indecomposable proper
-    submodule U of M, spaces its row bases: the candidates of the
-    exhaustive engine, where the root engine ranks roots (`_ranked_roots`)."""
-    out = []
-    for spaces in enumerate_subreps(M, budget=budget):
-        d = tuple(int(U.shape[0]) for U in spaces)
-        if sum(d) == 0 or d == M.dims:
-            continue
-        U = sub_rep(M, spaces)
-        if is_indecomposable(U):
-            out.append((spaces, U, _rep_measure(U, budget)))
-    return out
+def is_indecomposable(M: Rep, budget: int = 2_000_000) -> bool:
+    """M is nonzero and End(M) is local (see `_local_radical`)."""
+    return _local_radical(M, budget)[1] is not None
 
 
-def _memo_lookup(M: Rep, budget: int):
-    """(signature of M, the stored measure of a module isomorphic to M or None)."""
+def _rep_measure(M: Rep, budget: int, witnesses: list | None = None) -> Measure:
+    """The measure of M on the exhaustive engine: from the memo, which
+    keeps one module per isomorphism class under its `_probe_signature`,
+    or else from one scan of the indecomposable proper submodules of M,
+    whose measures this computes in turn, and stored.  With a list
+    `witnesses`, append the row bases of every indecomposable submodule
+    whose measure extends to M's.  A decomposable M has a measure that
+    stops short of its length, so it has none, and a memo hit scans
+    nothing for it."""
+    n = sum(M.dims)
     sig = _probe_signature(M)
-    for rep, value in _REP_MEMO.get(sig, ()):
-        if is_isomorphic(rep, M, budget):
-            return sig, value
-    return sig, None
-
-
-def _store_measure(M: Rep, sig, subs: list) -> Measure:
-    """The measure of M from its `_measured_subreps`, stored under sig."""
-    best = max_measure(m for _, _, m in subs) if subs else ()
-    if is_indecomposable(M):
-        out = best + (sum(M.dims),)
-    else:
-        if not best:
+    measure = next((m for N, m in _REP_MEMO.get(sig, ()) if is_isomorphic(N, M, budget)), None)
+    if measure is not None and (witnesses is None or measure[-1] != n):
+        return measure
+    subs = []
+    for spaces in enumerate_subreps(M, budget=budget):
+        d = sum(U.shape[0] for U in spaces)
+        if 0 < d < n:
+            U = sub_rep(M, spaces)
+            if is_indecomposable(U, budget):
+                subs.append((spaces, _rep_measure(U, budget)))
+    if measure is None:
+        best = max_measure(m for _, m in subs) if subs else ()
+        if is_indecomposable(M, budget):
+            measure = best + (n,)
+        elif not best:
             raise InternalInconsistencyError(
                 "nonzero decomposable module with no indecomposable submodule")
-        out = best
-    _REP_MEMO.setdefault(sig, []).append((M, out))
-    return out
-
-
-def _rep_measure(M: Rep, budget: int) -> Measure:
-    sig, value = _memo_lookup(M, budget)
-    if value is None:
-        value = _store_measure(M, sig, _measured_subreps(M, budget))
-    return value
+        else:
+            measure = best
+        _REP_MEMO.setdefault(sig, []).append((M, measure))
+    if witnesses is not None:
+        witnesses.extend(spaces for spaces, m in subs if m + (n,) == measure)
+    return measure
 
 
 # -- public measure API -------------------------------------------------
@@ -316,37 +342,24 @@ def gr_submodules(M: Rep, budget: int = 2_000_000) -> list[SubrepWitness]:
 
 
 def _measure_and_submodules(M: Rep, budget: int = 2_000_000) -> tuple[Measure, list]:
-    """(gr_measure(M), gr_submodules(M)), from one root pass on the root engine."""
+    """(gr_measure(M), gr_submodules(M)), from one root pass on the root
+    engine and one submodule scan on the exhaustive one."""
     Q, F = M.quiver, M.field
-    out = []
     if _uses_root_engine(M):
-        # Roots come best measure first: the first one that embeds fixes the
-        # measure, and the scan ends at the next smaller measure.
-        target, seen = None, set()
-        for d, m in _ranked_roots(M):
-            if target is not None and m != target:
-                break
-            for phi in _monomorphisms(M, d):
-                target = m
-                spaces = morphism_image(F, phi)
-                key = tuple(U.tobytes() for U in spaces)
-                if key in seen:
-                    raise InternalInconsistencyError(
-                        "distinct monomorphism classes share an image")
-                seen.add(key)
-                out.append(subrep_witness(M, spaces))
-        measure = (target or ()) + (sum(M.dims),)
+        best, images, seen = (), [], set()
+        for best, phi in _best_embeddings(M):
+            spaces = morphism_image(F, phi)
+            key = tuple(U.tobytes() for U in spaces)
+            if key in seen:
+                raise InternalInconsistencyError(
+                    "distinct monomorphism classes share an image")
+            seen.add(key)
+            images.append(spaces)
+        measure = best + (sum(M.dims),)
     else:
-        sig, measure = _memo_lookup(M, budget)
-        # A decomposable M has a measure that stops short of its length,
-        # so no submodule's measure extends to it: one scan of the
-        # submodules gives both the measure and the witnesses.
-        if measure is None or measure[-1] == sum(M.dims):
-            subs = _measured_subreps(M, budget)
-            if measure is None:
-                measure = _store_measure(M, sig, subs)
-            out = [subrep_witness(M, spaces) for spaces, _, m in subs
-                   if m + (sum(M.dims),) == measure]
+        images = []
+        measure = _rep_measure(M, budget, images)
+    out = [subrep_witness(M, spaces) for spaces in images]
     for w in out:
         if tits_form(Q, w.quotient.dims) == 1 and end_dim(w.quotient) != 1:
             raise InternalInconsistencyError(
@@ -368,21 +381,14 @@ class SubmoduleCountReport:
     singular_subspace: bool
 
 
-def _log_q(count: int, q: int) -> int | None:
-    k = 0
-    while q ** k < count:
-        k += 1
-    return k if q ** k == count else None
-
-
 def count_submodules_report(X: Rep, Y: Rep, budget: int = 2_000_000) -> SubmoduleCountReport:
     """Count the submodules of Y isomorphic to X twice: directly, and via
     q^(s-r) (q^(h-s) - 1) / (q^(e-r) - 1) from the sizes of the singular
     set and the radical.  Both counts must agree."""
     if X.quiver != Y.quiver or X.field != Y.field:
         raise InvalidInputError("modules must share a quiver and field")
-    e = end_dim(X)
-    if not _indecomposable_given_end(X, e) or not is_indecomposable(Y):
+    e, r = _local_radical(X, budget)
+    if r is None or not is_indecomposable(Y, budget):
         raise InvalidInputError("count report needs indecomposable modules")
     F = X.field
     q = F.q
@@ -392,21 +398,10 @@ def count_submodules_report(X: Rep, Y: Rep, budget: int = 2_000_000) -> Submodul
         raise InfeasibleEnumerationError(
             "hom or endomorphism space too large to enumerate",
             needed=max(q ** h, q ** e), budget=budget)
-    # A nonzero vector is non-injective exactly when its whole scalar class
-    # is, so each count is q^dim less (q - 1) per injective class.
-    sing = q ** h - (q - 1) * sum(1 for _ in injective_classes(F, X, basis, budget))
-    s = _log_q(sing, q)
-    if e == 1:
-        r = 0
-    else:
-        bad = q ** e - (q - 1) * sum(1 for _ in injective_classes(F, X, hom_basis(X, X), budget))
-        r = _log_q(bad, q)
-        if r is None:
-            raise InternalInconsistencyError(
-                "non-invertible endomorphism count of an indecomposable is not a power of q")
+    s = _singular_power(F, X, basis, budget)
     u_brute = 0
     for spaces in enumerate_subreps(Y, budget=budget, dims=X.dims):
-        if is_isomorphic(sub_rep(Y, spaces), X):
+        if is_isomorphic(sub_rep(Y, spaces), X, budget):
             u_brute += 1
     if s is None:
         return SubmoduleCountReport(u_brute, h, None, e, r, u_brute, False)
@@ -484,7 +479,7 @@ def verify_main_theorem(Q: Quiver, F: Field) -> GRReport:
         raise VerificationError(f"chain submodule has defect {dP}, expected -1")
     qdims = P.quotient.dims
     dQt = defect(Q, qdims)
-    if tits_form(Q, qdims) != 1 or end_dim(P.quotient) != 1:
+    if tits_form(Q, qdims) != 1:
         raise VerificationError(f"quotient {qdims} is not an indecomposable root module")
     if dQt != 1:
         raise VerificationError(f"quotient has defect {dQt}, expected 1")

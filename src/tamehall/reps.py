@@ -86,15 +86,8 @@ def simple_rep(Q: Quiver, F: Field, i: int) -> Rep:
 def direct_sum(M: Rep, N: Rep) -> Rep:
     if M.quiver != N.quiver or M.field != N.field:
         raise InvalidInputError("summands live over different quivers or fields")
-    Q, F = M.quiver, M.field
-    dims = tuple(a + b for a, b in zip(M.dims, N.dims))
-    mats = []
-    for a, (s, t) in enumerate(Q.arrows):
-        blk = F.zeros(dims[t], dims[s])
-        blk[:M.dims[t], :M.dims[s]] = M.mats[a]
-        blk[M.dims[t]:, M.dims[s]:] = N.mats[a]
-        mats.append(blk)
-    return Rep(Q, F, dims, tuple(mats))
+    zero = tuple(M.field.zeros(M.dims[t], N.dims[s]) for s, t in M.quiver.arrows)
+    return middle_term(M, N, zero)
 
 
 def dual(M: Rep) -> Rep:

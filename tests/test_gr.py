@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tamehall import gr
 from tamehall.errors import (
     InfeasibleEnumerationError,
     InvalidInputError,
@@ -187,6 +188,20 @@ def test_measure_rejects_oversize_inputs():
     with pytest.raises(InvalidInputError):
         gr_measure(Z := simple_rep(K, F, 0).__class__(K, F, (0, 0),
                    (F.zeros(0, 0), F.zeros(0, 0))))
+
+
+def test_measure_passes_its_budget_to_the_indecomposability_test(monkeypatch):
+    """The subrepresentation scan of this module needs 48, and its
+    submodule (0,0,2,0,0), two copies of the simple at the centre, has
+    3^4 endomorphisms.  The memo starts empty: a remembered measure needs
+    no scan."""
+    monkeypatch.setattr(gr, "_REP_MEMO", {})
+    M = build_preinjective(preset_quiver("dtilde:4", 4), field(3), (1, 1, 2, 1, 0))
+    for entry in (gr_measure, gr_submodules):
+        with pytest.raises(InfeasibleEnumerationError) as info:
+            entry(M, budget=48)
+        assert (info.value.needed, info.value.budget) == (81, 48)
+    assert gr_measure(M, budget=81) == (1, 2, 5)
 
 
 def test_gr_submodules_rejects_what_gr_measure_rejects():

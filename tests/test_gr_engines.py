@@ -8,8 +8,8 @@ replaced: one Hom(X, M) basis for every preprojective root below dim M,
 then `max_measure` over the roots that embed, compared measure by measure
 and witness by witness, in order.  The skip rests on
 hom(X, M) = max(<x, m>, 0) for X preprojective and M preprojective or
-homogeneous, and the ranking on `measure_key` ordering as
-`compare_measures` does; both are checked on generated inputs.  On random
+homogeneous, and the ranking on `measure_key` ordering measures by the
+symmetric-difference rule; both are checked on generated inputs.  On random
 orientations of small affine quivers the root engine is compared with the
 exhaustive engine, which enumerates every submodule.  The exhaustive
 engine reads both the measure and the witnesses of a module off one
@@ -134,8 +134,13 @@ def test_best_first_scan_matches_the_full_scan_on_homogeneous_modules():
 @example([], [1])
 @example([2, 5], [5, 2, 2])
 def test_measure_key_orders_as_compare_measures(I, J):
-    a, b = measure_key(I), measure_key(J)
-    assert compare_measures(I, J) == ("<" if a < b else ">" if a > b else "=")
+    # the rule itself: I < J when the smallest element of the symmetric
+    # difference lies in J
+    a, b = set(I), set(J)
+    rule = "=" if a == b else "<" if min(a ^ b) in b else ">"
+    kI, kJ = measure_key(I), measure_key(J)
+    key = "<" if kI < kJ else ">" if kI > kJ else "="
+    assert compare_measures(I, J) == key == rule
 
 
 # -- root engine against the exhaustive engine ----------------------------
