@@ -5,10 +5,11 @@ residue itself; for q = p^k the label encodes a polynomial c0 + c1*a + ...
 over GF(p) as c0 + c1*p + c2*p^2 + ... where a is a root of the fixed
 irreducible polynomial of the field.  All element-wise operations accept
 numpy arrays and broadcast; `Field.matmul` and `batched_full_row_rank` are
-built on them.  The scalar elimination `rref`, which `rank`, `kernel_basis`
-and `in_rowspace` go through, runs over Python row lists instead: almost
-every matrix it sees is tiny or sparse, where per-call numpy overhead
-would dominate.
+built on them.  Scalar elimination runs in Python instead, where per-call
+numpy overhead would dominate on the tiny or sparse systems it sees, in
+two loops, one per input form: `rref`, which `rank`, `kernel_basis` and
+`in_rowspace` go through, over dense row lists, and `eliminate` over
+sparse rows {column: label}, the form of the Hom and Ext systems.
 
 Matrices are plain numpy int64 arrays.  Subspaces of k^n are stored as
 matrices whose rows form a basis in reduced row echelon form; that form is
@@ -17,6 +18,7 @@ the canonical representative used for enumeration and comparison.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from functools import lru_cache
 from math import isqrt
@@ -131,12 +133,12 @@ class Field:
             self.poly = None
             self._inv_table = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)],
                                        dtype=np.int64)
-        # the tables as nested lists, for the scalar elimination in rref
+        # the tables as nested lists, for the scalar eliminations
+        els = np.arange(q)
+        self._add_rows = self.add(els[:, None], els).tolist()
+        self._mul_rows = self.mul(els[:, None], els).tolist()
+        self._neg_list = self.neg(els).tolist()
         self._inv_list = self._inv_table.tolist()
-        if not self.is_prime:
-            self._add_rows = self._add_table.tolist()
-            self._mul_rows = self._mul_table.tolist()
-            self._neg_list = self._neg_table.tolist()
         if q <= 16:
             self._check_axioms()
 
@@ -276,7 +278,9 @@ def rref(F: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
     Gauss-Jordan over Python row lists, never writing to M.  Each
     elimination touches only the nonzero entries of the pivot row, which
-    is all zero left of its pivot."""
+    is all zero left of its pivot.  Sparse rows go to `eliminate` instead;
+    routing dense input through it as well was measured slower on the
+    GR workloads, whose many small dense eliminations pay for the dicts."""
     A = np.asarray(M, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("rref expects a 2-d array")
@@ -320,6 +324,70 @@ def rref(F: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return np.array(R[:r], dtype=np.int64).reshape(r, cols), tuple(pivots)
+
+
+def eliminate(F: Field, rows) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Gauss-Jordan on sparse rows {column: nonzero label}, never writing
+    to them.  Returns the reduced rows keyed by pivot column, and the
+    indices of the input rows independent of the rows before them.
+
+    One input row at a time is reduced by the stored rows at its pivot
+    columns, smallest first, and what is left, if anything, is stored
+    scaled to a 1 at its first column, its pivot.  A stored row has no
+    entry left of its pivot and none at an earlier stored pivot, so
+    subtracting it adds entries only right of the column it clears, and
+    a heap of the pivot columns met finishes the reduction.  Last, the
+    stored rows are cleared of the later pivots, from the largest pivot
+    down.  The rows, ordered by pivot, are then the reduced echelon basis
+    of the row space, which is unique: the rows `rref` gives.  The kept
+    indices are the pivot columns of `rref` of the transpose.
+
+    This is the second elimination loop beside `rref`, for the input form
+    of the Hom systems: their rows hold a few entries each, and the work
+    here follows the entries, not the width."""
+    add, mul, neg, inv = F._add_rows, F._mul_rows, F._neg_list, F._inv_list
+    basis: dict[int, dict[int, int]] = {}
+    kept: list[int] = []
+    push = heapq.heappush
+
+    def subtract(dst, f, src, todo):
+        """dst -= f src, dropping the entries that become zero and pushing
+        onto todo the stored pivots where dst gains an entry."""
+        mf = mul[neg[f]]
+        for j, y in src.items():
+            old = dst.get(j, 0)
+            x = add[old][mf[y]]
+            if x:
+                if not old and j in basis:
+                    push(todo, j)
+                dst[j] = x
+            else:
+                del dst[j]
+
+    for i, row in enumerate(rows):
+        r = dict(row)
+        todo = [c for c in r if c in basis]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            f = r.get(c)
+            if f:
+                subtract(r, f, basis[c], todo)
+        if not r:
+            continue
+        c = min(r)
+        if r[c] != 1:
+            ms = mul[inv[r[c]]]
+            r = {j: ms[x] for j, x in r.items()}
+        basis[c] = r
+        kept.append(i)
+    # a finished row has entries only at its pivot and off every pivot, so
+    # clearing it from an earlier row gains that row no pivot to push
+    for p in sorted(basis, reverse=True):
+        b = basis[p]
+        for c in [c for c in b if c != p and c in basis]:
+            subtract(b, b[c], basis[c], None)
+    return basis, kept
 
 
 def rank(F: Field, M: np.ndarray) -> int:

@@ -201,6 +201,8 @@ def _uses_root_engine(M: Rep) -> bool:
 
 # -- exhaustive engine --------------------------------------------------
 
+# signature -> [module, measure, smallest budget it was computed under],
+# one entry per isomorphism class
 _REP_MEMO: dict = {}
 
 
@@ -296,10 +298,16 @@ def _rep_measure(M: Rep, budget: int, witnesses: list | None = None) -> Measure:
     `witnesses`, append the row bases of every indecomposable submodule
     whose measure extends to M's.  A decomposable M has a measure that
     stops short of its length, so it has none, and a memo hit scans
-    nothing for it."""
+    nothing for it.
+
+    An entry also keeps the smallest budget its measure was computed
+    under, and serves only a budget at least that large.  A smaller one
+    computes afresh: refusal grows as the budget falls, so a call refuses
+    exactly when it would in a fresh process."""
     n = sum(M.dims)
     sig = _probe_signature(M)
-    measure = next((m for N, m in _REP_MEMO.get(sig, ()) if is_isomorphic(N, M, budget)), None)
+    entry = next((e for e in _REP_MEMO.get(sig, ()) if is_isomorphic(e[0], M, budget)), None)
+    measure = entry[1] if entry is not None and entry[2] <= budget else None
     if measure is not None and (witnesses is None or measure[-1] != n):
         return measure
     subs = []
@@ -318,7 +326,10 @@ def _rep_measure(M: Rep, budget: int, witnesses: list | None = None) -> Measure:
                 "nonzero decomposable module with no indecomposable submodule")
         else:
             measure = best
-        _REP_MEMO.setdefault(sig, []).append((M, measure))
+        if entry is None:
+            _REP_MEMO.setdefault(sig, []).append([M, measure, budget])
+        else:
+            entry[2] = budget
     if witnesses is not None:
         witnesses.extend(spaces for spaces, m in subs if m + (n,) == measure)
     return measure

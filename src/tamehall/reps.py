@@ -18,7 +18,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
 )
-from .gf import (Field, enumerate_subspaces, gaussian_binomial, in_rowspace, kernel_basis,
+from .gf import (Field, eliminate, enumerate_subspaces, gaussian_binomial, in_rowspace,
                  quotient_map, rank, rref, scalar_class_images)
 from .quiver import Quiver, admissible_sink_order, euler_form, opposite
 
@@ -156,35 +156,37 @@ def top_projection(M: Rep) -> tuple[np.ndarray, ...]:
 # -- Hom and Ext -------------------------------------------------------
 
 
-def _hom_system(M: Rep, N: Rep) -> tuple[np.ndarray, list[int]]:
-    """Coefficient matrix of the commuting equations N_a X_s = X_t M_a in
-    the unknowns vec(X_j) (row-major), plus unknown offsets per vertex."""
-    Q, F = M.quiver, M.field
+def _hom_system(M: Rep, N: Rep) -> tuple[list[dict[int, int]], list[int], int]:
+    """The commuting equations N_a X_s = X_t M_a in the unknowns vec(X_j)
+    (row-major), as sparse rows {column: label}: one per arrow a and entry
+    (i, k) of X_t M_a, in that order, empty rows kept, so that row indices
+    match the Ext differential.  Row (i, k) has N_a[i, l] at X_s[l, k] and
+    -M_a[l, k] at X_t[i, l], read off the nonzero entries of the arrow
+    matrices (s != t, so the two parts never meet).  Also returns the
+    unknown offsets per vertex and the number of unknowns."""
+    Q, neg = M.quiver, M.field._neg_list
     offs = []
     tot = 0
     for j in range(Q.n):
         offs.append(tot)
         tot += N.dims[j] * M.dims[j]
-    eq_rows = sum(N.dims[t] * M.dims[s] for s, t in Q.arrows)
-    A = F.zeros(eq_rows, tot)
-    base = 0
+    rows = []
     for a, (s, t) in enumerate(Q.arrows):
-        n_t, n_s = N.dims[t], N.dims[s]
-        m_t, m_s = M.dims[t], M.dims[s]
-        rows = n_t * m_s
-        if rows:
-            if n_s and m_s:
-                blk = np.zeros((n_t, m_s, n_s, m_s), dtype=np.int64)
-                idx = np.arange(m_s)
-                blk[:, idx, :, idx] = N.mats[a][None, :, :]
-                A[base:base + rows, offs[s]:offs[s] + n_s * m_s] = blk.reshape(rows, n_s * m_s)
-            if n_t and m_t:
-                blk = np.zeros((n_t, m_s, n_t, m_t), dtype=np.int64)
-                idx = np.arange(n_t)
-                blk[idx, :, idx, :] = F.neg(M.mats[a]).T[None, :, :]
-                A[base:base + rows, offs[t]:offs[t] + n_t * m_t] = blk.reshape(rows, n_t * m_t)
-        base += rows
-    return A, offs
+        m_s, m_t = M.dims[s], M.dims[t]
+        # per row i of N_a: (column of X_s[l, 0], N_a[i, l]); per column k
+        # of M_a: (l, -M_a[l, k])
+        left = [[(offs[s] + l * m_s, x) for l, x in enumerate(r) if x] for r in N.mats[a].tolist()]
+        right = [[(l, neg[x]) for l, x in enumerate(r) if x] for r in M.mats[a].T.tolist()]
+        for i, part in enumerate(left):
+            base = offs[t] + i * m_t
+            for k, col in enumerate(right):
+                row = {}
+                for c, x in part:
+                    row[c + k] = x
+                for l, x in col:
+                    row[base + l] = x
+                rows.append(row)
+    return rows, offs, tot
 
 
 def _unvec(M: Rep, N: Rep, offs: list[int], vec: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -196,19 +198,39 @@ def _unvec(M: Rep, N: Rep, offs: list[int], vec: np.ndarray) -> tuple[np.ndarray
 
 
 def hom_basis(M: Rep, N: Rep) -> list[tuple[np.ndarray, ...]]:
-    """Basis of Hom(M, N) as tuples of per-vertex matrices."""
+    """Basis of Hom(M, N) as tuples of per-vertex matrices, the reduced
+    echelon basis of the kernel of the Hom system.
+
+    As in `kernel_basis`, the system is eliminated with its columns
+    numbered backwards, c -> last - c.  Each non-pivot column c there
+    gives the kernel vector e_c - sum R[p, c] e_p over the reduced rows R
+    with pivot p < c; numbered forwards again, its leading 1 is at
+    last - c, a column where every other such vector is zero."""
     if M.quiver != N.quiver or M.field != N.field:
         raise InvalidInputError("Hom needs a common quiver and field")
-    A, offs = _hom_system(M, N)
-    ker = kernel_basis(M.field, A)
+    F = M.field
+    rows, offs, tot = _hom_system(M, N)
+    last = tot - 1
+    basis, _ = eliminate(F, [{last - c: x for c, x in row.items()} for row in rows])
+    free = [c for c in range(last, -1, -1) if c not in basis]
+    slot = {c: k for k, c in enumerate(free)}
+    ker = [0] * (len(free) * tot)
+    for k, c in enumerate(free):
+        ker[k * tot + last - c] = 1
+    neg = F._neg_list
+    for p, r in basis.items():
+        for c, x in r.items():
+            if c != p:
+                ker[slot[c] * tot + last - p] = neg[x]
+    ker = np.array(ker, dtype=np.int64).reshape(len(free), tot)
     return [_unvec(M, N, offs, row) for row in ker]
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
     if M.quiver != N.quiver or M.field != N.field:
         raise InvalidInputError("Hom needs a common quiver and field")
-    A, _ = _hom_system(M, N)
-    return A.shape[1] - rank(M.field, A)
+    rows, _, tot = _hom_system(M, N)
+    return tot - len(eliminate(M.field, rows)[0])
 
 
 def ext1_dim(M: Rep, N: Rep) -> int:
@@ -289,21 +311,25 @@ def ext_space(N: Rep, M: Rep) -> ExtSpace:
     a basis of the classes.
 
     The differential sends (phi_j) in the sum of Hom(N_j, M_j) to
-    (M_a phi_s - phi_t N_a) in the sum over arrows of Hom(N_s, M_t); it is
-    the matrix of the Hom(N, M) system, and Ext is its cokernel."""
+    (M_a phi_s - phi_t N_a) in the sum over arrows of Hom(N_s, M_t); it
+    is the matrix of the Hom(N, M) system, one row per entry of the
+    target, and Ext is its cokernel.  The pivot coordinates of its image
+    are the rows independent of the rows before them (`eliminate`'s kept
+    rows), so the unit cocycles at the other rows are a basis of the
+    classes."""
     if M.quiver != N.quiver or M.field != N.field:
         raise InvalidInputError("Ext needs a common quiver and field")
     Q, F = M.quiver, M.field
-    D, _ = _hom_system(N, M)
-    c1 = D.shape[0]
-    _, piv = rref(F, D.T)
-    dim = c1 - len(piv)
+    D, _, _ = _hom_system(N, M)
+    c1 = len(D)
+    _, kept = eliminate(F, D)
+    dim = c1 - len(kept)
     shapes = [(M.dims[t], N.dims[s]) for s, t in Q.arrows]
     cuts = list(itertools.accumulate(m * n for m, n in shapes))[:-1]
-    pivset = set(piv)
+    keptset = set(kept)
     cocycles = []
     for col in range(c1):
-        if col not in pivset:
+        if col not in keptset:
             vec = F.zeros(c1)
             vec[col] = 1
             cocycles.append(tuple(part.reshape(shape)

@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-from tamehall import gr as gr_mod
 from tamehall import hall as hall_mod
 from tamehall.cli import _styled, main
 
@@ -278,10 +277,9 @@ def test_gr_measure_regular(capsys):
 
 
 @pytest.mark.parametrize("budget, code", [("48", 2), ("81", 0)])
-def test_gr_measure_budget_reaches_the_indecomposability_test(monkeypatch, capsys, budget, code):
+def test_gr_measure_budget_reaches_the_indecomposability_test(capsys, budget, code):
     # 48 subrepresentations fit the budget, but the submodule (0,0,2,0,0)
-    # has 3^4 = 81 endomorphisms; an empty measure memo, as in a fresh process
-    monkeypatch.setattr(gr_mod, "_REP_MEMO", {})
+    # has 3^4 = 81 endomorphisms
     rc, out, err = run(capsys, "gr-measure", "--preset", "dtilde:4", "--sink", "5",
                        "--field", "3", "--budget", budget, "prei:1,1,2,1,0")
     assert rc == code

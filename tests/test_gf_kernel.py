@@ -7,9 +7,10 @@ order, with the one-sink count's per-vertex loop it replaced.
 
 Inputs are generated over prime and extension fields: dense matrices of
 every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
-the End systems of homogeneous modules, the large sparse shape the
-one-sink table ranks, and batches of up to 60 matrices of at most 4 x 6
-with rank deficiency built in, the shapes the one-sink count tests.
+the End systems of homogeneous modules (the dense matrices of
+`hom_oracles`), the large sparse shape the one-sink table ranks, and
+batches of up to 60 matrices of at most 4 x 6 with rank deficiency built
+in, the shapes the one-sink count tests.
 """
 
 from functools import lru_cache
@@ -33,9 +34,10 @@ from tamehall.gf import (
 from tamehall.hall import _minus_unit, hall_number_sink_fast
 from tamehall.homreg import homogeneous_simples
 from tamehall.quiver import preset_quiver, radical_delta, reorient_toward
-from tamehall.reps import _hom_system, hom_basis, top_projection
+from tamehall.reps import hom_basis, top_projection
 
 from class_blocks import scalar_class_blocks
+from hom_oracles import hom_system
 
 ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -119,7 +121,7 @@ def sparse(draw):
 def _end_system(name, q):
     F = field(q)
     _, M = next(homogeneous_simples(preset_quiver(name), F))
-    return F, _hom_system(M, M)[0]
+    return F, hom_system(M, M)[0]
 
 
 @PROPERTY

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from tamehall import gr
 from tamehall.errors import (
     InfeasibleEnumerationError,
     InvalidInputError,
@@ -190,18 +189,30 @@ def test_measure_rejects_oversize_inputs():
                    (F.zeros(0, 0), F.zeros(0, 0))))
 
 
-def test_measure_passes_its_budget_to_the_indecomposability_test(monkeypatch):
+def test_measure_passes_its_budget_to_the_indecomposability_test():
     """The subrepresentation scan of this module needs 48, and its
     submodule (0,0,2,0,0), two copies of the simple at the centre, has
-    3^4 endomorphisms.  The memo starts empty: a remembered measure needs
-    no scan."""
-    monkeypatch.setattr(gr, "_REP_MEMO", {})
+    3^4 endomorphisms."""
     M = build_preinjective(preset_quiver("dtilde:4", 4), field(3), (1, 1, 2, 1, 0))
     for entry in (gr_measure, gr_submodules):
         with pytest.raises(InfeasibleEnumerationError) as info:
             entry(M, budget=48)
         assert (info.value.needed, info.value.budget) == (81, 48)
     assert gr_measure(M, budget=81) == (1, 2, 5)
+
+
+def test_a_remembered_measure_serves_no_smaller_budget():
+    """Once the module above is measured under budget 81, the memo holds
+    its measure, and budget 48 must still be refused as in a fresh
+    process, for the module and for a second copy of its class."""
+    M = build_preinjective(preset_quiver("dtilde:4", 4), field(3), (1, 1, 2, 1, 0))
+    assert gr_measure(M, budget=81) == (1, 2, 5)
+    for N in (M, Rep(M.quiver, M.field, M.dims, M.mats)):
+        for entry in (gr_measure, gr_submodules):
+            with pytest.raises(InfeasibleEnumerationError) as info:
+                entry(N, budget=48)
+            assert (info.value.needed, info.value.budget) == (81, 48)
+        assert gr_measure(N, budget=81) == (1, 2, 5)
 
 
 def test_gr_submodules_rejects_what_gr_measure_rejects():
