@@ -3,13 +3,16 @@
 Field elements are integer labels 0..q-1.  For prime q the label is the
 residue itself; for q = p^k the label encodes a polynomial c0 + c1*a + ...
 over GF(p) as c0 + c1*p + c2*p^2 + ... where a is a root of the fixed
-irreducible polynomial of the field.  All element-wise operations accept
-numpy arrays and broadcast; `Field.matmul` and `batched_full_row_rank` are
-built on them.  Scalar elimination runs in Python instead, where per-call
-numpy overhead would dominate on the tiny or sparse systems it sees, in
-two loops, one per input form: `rref`, which `rank`, `kernel_basis` and
-`in_rowspace` go through, over dense row lists, and `eliminate` over
-sparse rows {column: label}, the form of the Hom and Ext systems.
+irreducible polynomial of the field.  Every field, prime or not, looks
+its operations up in tables over the labels, so operands must be labels
+(see `Field`).  The element-wise operations accept numpy arrays and
+broadcast; `Field.matmul` and `batched_full_row_rank` are built on them.
+Scalar elimination runs in Python instead, on the tables as nested lists,
+where per-call numpy overhead would dominate on the tiny or sparse systems
+it sees, in two loops, one per input form: `rref`, which `rank`,
+`kernel_basis` and `in_rowspace` go through, over dense row lists, and
+`eliminate` over sparse rows {column: label}, the form of the Hom and Ext
+systems.
 
 Matrices are plain numpy int64 arrays.  Subspaces of k^n are stored as
 matrices whose rows form a basis in reduced row echelon form; that form is
@@ -113,9 +116,15 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
 class Field:
     """Arithmetic over GF(q) with vectorised numpy operations.
 
-    Prime fields use modular arithmetic directly; extension fields use
-    precomputed q x q addition / multiplication tables plus negation and
-    inversion tables, all indexed by element label.
+    Every field keeps q x q addition and multiplication tables and
+    negation and inversion tables indexed by label, and every operation
+    but a prime field's `matmul` is a lookup in them.  So operands must be
+    labels 0..q-1: a table does not reduce mod q, and a negative index
+    wraps round silently.  `Rep.__post_init__` rejects modules from
+    outside with other entries, and every other array in the package
+    holds labels it computed, except the signed GF(3) walk of
+    `functors._signed_form` (entries -1), which `functors._lift` maps
+    through `F.neg(1)` before it builds a module.
     """
 
     def __init__(self, q: int):
@@ -126,18 +135,21 @@ class Field:
         self.p = p
         self.degree = k
         self.is_prime = k == 1
-        if not self.is_prime:
+        if self.is_prime:
+            els = np.arange(q)
+            self.poly = None
+            self._add_table = (els[:, None] + els) % q
+            self._mul_table = els[:, None] * els % q
+        else:
             self.poly = IRREDUCIBLE_POLYS.get((p, k)) or _find_irreducible(p, k)
             self._build_tables()
-        else:
-            self.poly = None
-            self._inv_table = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)],
-                                       dtype=np.int64)
+        # -a and 1/a sit where the row of a holds 0 and 1; 1/0 is left 0
+        self._neg_table = (self._add_table == 0).argmax(axis=1)
+        self._inv_table = (self._mul_table == 1).argmax(axis=1)
         # the tables as nested lists, for the scalar eliminations
-        els = np.arange(q)
-        self._add_rows = self.add(els[:, None], els).tolist()
-        self._mul_rows = self.mul(els[:, None], els).tolist()
-        self._neg_list = self.neg(els).tolist()
+        self._add_rows = self._add_table.tolist()
+        self._mul_rows = self._mul_table.tolist()
+        self._neg_list = self._neg_table.tolist()
         self._inv_list = self._inv_table.tolist()
         if q <= 16:
             self._check_axioms()
@@ -172,16 +184,6 @@ class Field:
                 mul[a, b] = mul[b, a] = self._poly_to_label(m)
         self._add_table = add
         self._mul_table = mul
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            pa = polys[a]
-            neg[a] = self._poly_to_label(tuple((-x) % p for x in pa))
-        self._neg_table = neg
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        self._inv_table = inv
 
     def _check_axioms(self) -> None:
         q = self.q
@@ -205,23 +207,15 @@ class Field:
     # -- element-wise operations ----------------------------------------
 
     def add(self, a, b):
-        if self.is_prime:
-            return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.q
         return self._add_table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)]
 
     def sub(self, a, b):
-        if self.is_prime:
-            return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.q
         return self._add_table[np.asarray(a, dtype=np.int64), self._neg_table[np.asarray(b, dtype=np.int64)]]
 
     def mul(self, a, b):
-        if self.is_prime:
-            return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.q
         return self._mul_table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)]
 
     def neg(self, a):
-        if self.is_prime:
-            return (-np.asarray(a, dtype=np.int64)) % self.q
         return self._neg_table[np.asarray(a, dtype=np.int64)]
 
     def inv(self, a):
@@ -237,6 +231,8 @@ class Field:
         if A.shape[1] != B.shape[0]:
             raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
         if self.is_prime:
+            # labels are residues only in a prime field, where the integer
+            # product reduced mod q is the field product
             return (A @ B) % self.q
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for k in range(A.shape[1]):
@@ -276,19 +272,18 @@ def rref(F: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.  Deterministic: the
     pivot in each column is the first eligible row.
 
-    Gauss-Jordan over Python row lists, never writing to M.  Each
-    elimination touches only the nonzero entries of the pivot row, which
-    is all zero left of its pivot.  Sparse rows go to `eliminate` instead;
-    routing dense input through it as well was measured slower on the
-    GR workloads, whose many small dense eliminations pay for the dicts."""
+    Gauss-Jordan over Python row lists of labels, never writing to M, on
+    the tables of F.  Each elimination touches only the nonzero entries of
+    the pivot row, which is all zero left of its pivot.  Sparse rows go to
+    `eliminate` instead; routing dense input through it as well was
+    measured slower on the GR workloads, whose many small dense
+    eliminations pay for the dicts."""
     A = np.asarray(M, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("rref expects a 2-d array")
     rows, cols = A.shape
     R = A.tolist()
-    q, inv, prime = F.q, F._inv_list, F.is_prime
-    if not prime:
-        add, mul, neg = F._add_rows, F._mul_rows, F._neg_list
+    add, mul, neg, inv = F._add_rows, F._mul_rows, F._neg_list, F._inv_list
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -304,55 +299,30 @@ def rref(F: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         R[r] = row
         s = inv[row[c]]
         if s != 1:
-            row[c:] = [x * s % q for x in row[c:]] if prime else [mul[s][x] for x in row[c:]]
+            ms = mul[s]
+            row[c:] = [ms[x] for x in row[c:]]
         # (column, minus the pivot row's entry) over its nonzero entries
-        if prime:
-            nz = [(j, q - row[j]) for j in range(c, cols) if row[j]]
-        else:
-            nz = [(j, neg[row[j]]) for j in range(c, cols) if row[j]]
+        nz = [(j, neg[row[j]]) for j in range(c, cols) if row[j]]
         for i, Ri in enumerate(R):
             f = Ri[c]
             if not f or i == r:
                 continue
-            if prime:
-                for j, y in nz:
-                    Ri[j] = (Ri[j] + f * y) % q
-            else:
-                mf = mul[f]
-                for j, y in nz:
-                    Ri[j] = add[Ri[j]][mf[y]]
+            mf = mul[f]
+            for j, y in nz:
+                Ri[j] = add[Ri[j]][mf[y]]
         pivots.append(c)
         r += 1
     return np.array(R[:r], dtype=np.int64).reshape(r, cols), tuple(pivots)
 
 
-def eliminate(F: Field, rows) -> tuple[dict[int, dict[int, int]], list[int]]:
-    """Gauss-Jordan on sparse rows {column: nonzero label}, never writing
-    to them.  Returns the reduced rows keyed by pivot column, and the
-    indices of the input rows independent of the rows before them.
-
-    One input row at a time is reduced by the stored rows at its pivot
-    columns, smallest first, and what is left, if anything, is stored
-    scaled to a 1 at its first column, its pivot.  A stored row has no
-    entry left of its pivot and none at an earlier stored pivot, so
-    subtracting it adds entries only right of the column it clears, and
-    a heap of the pivot columns met finishes the reduction.  Last, the
-    stored rows are cleared of the later pivots, from the largest pivot
-    down.  The rows, ordered by pivot, are then the reduced echelon basis
-    of the row space, which is unique: the rows `rref` gives.  The kept
-    indices are the pivot columns of `rref` of the transpose.
-
-    This is the second elimination loop beside `rref`, for the input form
-    of the Hom systems: their rows hold a few entries each, and the work
-    here follows the entries, not the width."""
-    add, mul, neg, inv = F._add_rows, F._mul_rows, F._neg_list, F._inv_list
-    basis: dict[int, dict[int, int]] = {}
-    kept: list[int] = []
+def _subtractor(F: Field, basis: dict[int, dict[int, int]]):
+    """The step dst -= f src of `eliminate` on sparse rows, for the stored
+    rows `basis`: it drops the entries that become zero and pushes onto
+    todo the stored pivots where dst gains an entry."""
+    add, mul, neg = F._add_rows, F._mul_rows, F._neg_list
     push = heapq.heappush
 
     def subtract(dst, f, src, todo):
-        """dst -= f src, dropping the entries that become zero and pushing
-        onto todo the stored pivots where dst gains an entry."""
         mf = mul[neg[f]]
         for j, y in src.items():
             old = dst.get(j, 0)
@@ -363,7 +333,31 @@ def eliminate(F: Field, rows) -> tuple[dict[int, dict[int, int]], list[int]]:
                 dst[j] = x
             else:
                 del dst[j]
+    return subtract
 
+
+def eliminate(F: Field, rows) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Gaussian elimination on sparse rows {column: nonzero label}, never
+    writing to them.  Returns echelon rows keyed by pivot column, and the
+    indices of the input rows independent of the rows before them.
+
+    One input row at a time is reduced by the stored rows at its pivot
+    columns, smallest first, and what is left, if anything, is stored
+    scaled to a 1 at its first column, its pivot.  A stored row has no
+    entry left of its pivot and none at an earlier stored pivot, so
+    subtracting it adds entries only right of the column it clears, and
+    a heap of the pivot columns met finishes the reduction.  The stored
+    rows are an echelon basis of the row space, with the pivots of `rref`,
+    and the kept indices are the pivot columns of `rref` of the transpose;
+    `back_substitute` makes the rows those of `rref`.
+
+    This is the second elimination loop beside `rref`, for the input form
+    of the Hom systems: their rows hold a few entries each, and the work
+    here follows the entries, not the width."""
+    mul, inv = F._mul_rows, F._inv_list
+    basis: dict[int, dict[int, int]] = {}
+    kept: list[int] = []
+    subtract = _subtractor(F, basis)
     for i, row in enumerate(rows):
         r = dict(row)
         todo = [c for c in r if c in basis]
@@ -381,13 +375,21 @@ def eliminate(F: Field, rows) -> tuple[dict[int, dict[int, int]], list[int]]:
             r = {j: ms[x] for j, x in r.items()}
         basis[c] = r
         kept.append(i)
+    return basis, kept
+
+
+def back_substitute(F: Field, basis: dict[int, dict[int, int]]) -> None:
+    """Clear the echelon rows of `eliminate` of the later pivots, in place,
+    from the largest pivot down.  The rows, ordered by pivot, are then the
+    reduced echelon basis of their span, which is unique: the rows `rref`
+    gives."""
+    subtract = _subtractor(F, basis)
     # a finished row has entries only at its pivot and off every pivot, so
     # clearing it from an earlier row gains that row no pivot to push
     for p in sorted(basis, reverse=True):
         b = basis[p]
         for c in [c for c in b if c != p and c in basis]:
             subtract(b, b[c], basis[c], None)
-    return basis, kept
 
 
 def rank(F: Field, M: np.ndarray) -> int:

@@ -97,9 +97,6 @@ class Quiver:
         """Undirected edge multiset, endpoints sorted."""
         return tuple(tuple(sorted((s, t))) for s, t in self.arrows)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for s, t in self.arrows if s == v or t == v)
-
     def is_tree(self) -> bool:
         return len(self.arrows) == self.n - 1 and len(set(self.underlying_edges())) == len(self.arrows)
 
@@ -234,11 +231,6 @@ def is_affine(Q: Quiver) -> bool:
     return classify_graph(Q).affine
 
 
-def is_dynkin(Q: Quiver) -> bool:
-    cls = classify_graph(Q)
-    return cls.family != "other" and not cls.affine
-
-
 # -- bilinear forms and roots ------------------------------------------
 
 
@@ -341,10 +333,6 @@ def positive_real_roots(Q: Quiver, bound, budget: int = 5_000_000) -> list[DimVe
     roots = [tuple(int(v) for v in row) for row in X[mask]]
     roots.sort()
     return roots
-
-
-def unit_vector(n: int, i: int) -> DimVector:
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def _reflection_matrix(Q: Quiver, i: int) -> np.ndarray:
@@ -555,10 +543,3 @@ def parse_quiver(text: str) -> Quiver:
     if n is None:
         raise QuiverSyntaxError("missing 'vertices' directive")
     return Quiver(n, tuple(arrows))
-
-
-def format_quiver(Q: Quiver) -> str:
-    lines = [f"vertices {Q.n}"]
-    for s, t in Q.arrows:
-        lines.append(f"arrow {s + 1} {t + 1}")
-    return "\n".join(lines) + "\n"

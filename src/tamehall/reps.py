@@ -18,7 +18,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
 )
-from .gf import (Field, eliminate, enumerate_subspaces, gaussian_binomial, in_rowspace,
+from .gf import (Field, back_substitute, eliminate, enumerate_subspaces, gaussian_binomial,
                  quotient_map, rank, rref, scalar_class_images)
 from .quiver import Quiver, admissible_sink_order, euler_form, opposite
 
@@ -65,17 +65,6 @@ class Rep:
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-
-def reps_equal(M: Rep, N: Rep) -> bool:
-    """Structural equality: same quiver, field, dims and matrices."""
-    return (M.quiver == N.quiver and M.field == N.field and M.dims == N.dims
-            and all(np.array_equal(a, b) for a, b in zip(M.mats, N.mats)))
-
-
-def zero_rep(Q: Quiver, F: Field) -> Rep:
-    dims = (0,) * Q.n
-    return Rep(Q, F, dims, tuple(F.zeros(0, 0) for _ in Q.arrows))
 
 
 def simple_rep(Q: Quiver, F: Field, i: int) -> Rep:
@@ -212,6 +201,7 @@ def hom_basis(M: Rep, N: Rep) -> list[tuple[np.ndarray, ...]]:
     rows, offs, tot = _hom_system(M, N)
     last = tot - 1
     basis, _ = eliminate(F, [{last - c: x for c, x in row.items()} for row in rows])
+    back_substitute(F, basis)
     free = [c for c in range(last, -1, -1) if c not in basis]
     slot = {c: k for k, c in enumerate(free)}
     ker = [0] * (len(free) * tot)
@@ -355,19 +345,6 @@ def middle_term(M: Rep, N: Rep, cocycle: tuple[np.ndarray, ...]) -> Rep:
 
 
 # -- subrepresentations ------------------------------------------------
-
-
-def is_subrep(M: Rep, spaces) -> bool:
-    """spaces: per-vertex reduced row bases inside M."""
-    F = M.field
-    for a, (s, t) in enumerate(M.quiver.arrows):
-        U_s, U_t = spaces[s], spaces[t]
-        if U_s.shape[0] == 0:
-            continue
-        images = F.matmul(M.mats[a], U_s.T).T
-        if not in_rowspace(F, U_t, images):
-            return False
-    return True
 
 
 def sub_rep(M: Rep, spaces) -> Rep:

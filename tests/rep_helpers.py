@@ -1,0 +1,30 @@
+"""Small constructions and comparisons the tests use and the package does
+not: unit dimension vectors, the zero module, structural equality of
+modules, and whether per-vertex subspaces form a submodule."""
+
+import numpy as np
+
+from tamehall.gf import in_rowspace
+from tamehall.reps import Rep
+
+
+def unit_vector(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def zero_rep(Q, F):
+    return Rep(Q, F, (0,) * Q.n, tuple(F.zeros(0, 0) for _ in Q.arrows))
+
+
+def reps_equal(M, N):
+    """Same quiver, field, dimensions and arrow matrices."""
+    return (M.quiver == N.quiver and M.field == N.field and M.dims == N.dims
+            and all(np.array_equal(a, b) for a, b in zip(M.mats, N.mats)))
+
+
+def is_subrep(M, spaces):
+    """Whether the per-vertex reduced row bases `spaces` inside M are
+    carried into each other by every arrow."""
+    F = M.field
+    return all(in_rowspace(F, spaces[t], F.matmul(M.mats[a], spaces[s].T).T)
+               for a, (s, t) in enumerate(M.quiver.arrows) if spaces[s].shape[0])

@@ -41,12 +41,12 @@ from tamehall.reps import (
     dual,
     injective_rep,
     is_isomorphic,
-    is_subrep,
     projective_rep,
     quotient_rep,
-    reps_equal,
     sub_rep,
 )
+
+from rep_helpers import is_subrep, reps_equal
 
 GRAPHS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde", "e8tilde",
           "a:1", "a:2", "a:3", "a:5", "d:4", "d:5", "e:6", "atilde:3")

@@ -110,11 +110,19 @@ def test_invalid_orders_rejected():
 
 
 def test_prime_inverses_up_to_max_q():
+    # prime fields read tables too; modular arithmetic is their oracle,
+    # on every pair of labels
     for q in range(2, 257):
         if all(q % d for d in range(2, q)):
             F = Field(q)
             nz = np.arange(1, q)
             assert np.array_equal(F.mul(nz, F.inv(nz)), np.ones(q - 1, dtype=np.int64))
+            assert F.inv(nz).tolist() == [pow(int(x), q - 2, q) for x in nz]
+            a, b = np.arange(q)[:, None], np.arange(q)[None, :]
+            assert np.array_equal(F.add(a, b), (a + b) % q)
+            assert np.array_equal(F.sub(a, b), (a - b) % q)
+            assert np.array_equal(F.mul(a, b), a * b % q)
+            assert np.array_equal(F.neg(b), -b % q)
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])

@@ -37,8 +37,9 @@ from tamehall.reps import (
     is_isomorphic,
     projective_rep,
     simple_rep,
-    zero_rep,
 )
+
+from rep_helpers import zero_rep
 
 K = preset_quiver("kronecker")
 D4 = preset_quiver("dtilde:4")

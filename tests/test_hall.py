@@ -34,11 +34,11 @@ from tamehall.reps import (
     hom_basis,
     hom_combination,
     projective_rep,
-    reps_equal,
     simple_rep,
 )
 
 from class_blocks import scalar_class_blocks
+from rep_helpers import reps_equal
 
 K = preset_quiver("kronecker")
 D4 = preset_quiver("dtilde:4")

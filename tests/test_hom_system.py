@@ -6,16 +6,17 @@ Kronecker quiver, A3, D~4, D~5 and E~6, with zero spaces at some vertices,
 over prime and extension fields.  `hom_basis` must be byte-identical to
 the kernel of the dense matrix, `hom_dim` equal to its corank, and
 `ext_space` must give the same dimension and the same cocycles.
-`eliminate` must give the rows of `rref` and, as its kept rows, the pivot
-columns of `rref` of the transpose, on the Hom systems and on random
-sparse matrices.
+`eliminate` must give echelon rows with the pivots of `rref`, which
+`back_substitute` turns into the rows of `rref`, and, as its kept rows,
+the pivot columns of `rref` of the transpose, on the Hom systems and on
+random sparse matrices.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tamehall.gf import eliminate, field, rref
+from tamehall.gf import back_substitute, eliminate, field, rref
 from tamehall.quiver import Quiver, preset_quiver
 from tamehall.reps import Rep, _hom_system, ext_space, hom_basis, hom_dim
 
@@ -71,9 +72,14 @@ def _check_eliminate(F, rows, width):
     A = _dense(rows, width)
     R, piv = rref(F, A)
     assert sorted(basis) == list(piv)
+    assert tuple(kept) == rref(F, A.T)[1]
+    # echelon rows with a 1 at their pivot, spanning the row space
+    echelon = _dense([basis[c] for c in piv], width)
+    assert all(min(basis[c]) == c and basis[c][c] == 1 for c in piv)
+    assert np.array_equal(rref(F, echelon)[0], R)
+    back_substitute(F, basis)
     assert np.array_equal(_dense([basis[c] for c in piv], width), R)
     assert all(all(basis[c].values()) for c in piv)
-    assert tuple(kept) == rref(F, A.T)[1]
 
 
 @PROPERTY

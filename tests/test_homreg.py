@@ -23,9 +23,10 @@ from tamehall.reps import (
     direct_sum,
     is_brick,
     is_isomorphic,
-    reps_equal,
     simple_rep,
 )
+
+from rep_helpers import reps_equal
 
 K = preset_quiver("kronecker")
 

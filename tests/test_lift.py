@@ -42,9 +42,10 @@ from tamehall.reps import (
     is_isomorphic,
     middle_term,
     quotient_rep,
-    reps_equal,
     sub_rep,
 )
+
+from rep_helpers import reps_equal
 
 AFFINE = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde", "e8tilde")
 GRAPHS = AFFINE + ("a:3", "a:5", "d:4", "d:5", "e:6")

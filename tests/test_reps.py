@@ -36,19 +36,17 @@ from tamehall.reps import (
     is_brick,
     is_injective_morphism,
     is_isomorphic,
-    is_subrep,
     middle_term,
     morphism_image,
     projective_rep,
     quotient_rep,
-    reps_equal,
     simple_rep,
     sub_rep,
     top_projection,
-    zero_rep,
 )
 
 from class_blocks import scalar_class_blocks
+from rep_helpers import is_subrep, zero_rep
 
 K = preset_quiver("kronecker")
 A2 = preset_quiver("a:2")
@@ -629,9 +627,3 @@ def test_isomorphism_budget_guard():
     big = direct_sum(M, M)  # End has dimension 64
     with pytest.raises(InfeasibleEnumerationError):
         is_isomorphic(big, big, budget=1000)
-
-
-def test_reps_equal_structural():
-    F = field(3)
-    assert reps_equal(r_lambda(F, 1), r_lambda(F, 1))
-    assert not reps_equal(r_lambda(F, 1), r_lambda(F, 2))

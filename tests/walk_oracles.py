@@ -15,8 +15,9 @@ from tamehall.quiver import (
     reorient_toward,
     sigma_reverse,
     tits_form,
-    unit_vector,
 )
+
+from rep_helpers import unit_vector
 
 
 def _tree_distances(Q, root):
