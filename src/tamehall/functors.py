@@ -89,13 +89,19 @@ def _walk(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
     walked = injective_walk(Q, x)
     if walked is None:
         raise InvalidInputError(f"{x} is not a {kind} root")
-    j, r = walked
-    N = injective_rep(Q, F, j)
-    for _ in range(r):
-        N = tau(N)
+    N = _translate(Q, F, *walked)
     if N.dims != x:
         raise InternalInconsistencyError("translate walk missed the root")
     return N
+
+
+@lru_cache(maxsize=None)
+def _translate(Q: Quiver, F: Field, j: int, r: int) -> Rep:
+    """tau^r I_j, one tau from tau^(r-1) I_j, so the modules along an
+    orbit cost one tau each however many roots read them.  The modules
+    are shared between callers, as the matrices of `_signed_form` are, so
+    no caller may write to them."""
+    return injective_rep(Q, F, j) if r == 0 else tau(_translate(Q, F, j, r - 1))
 
 
 @lru_cache(maxsize=None)

@@ -56,28 +56,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Multiply polynomials over GF(p), reduce by the monic polynomial `mod`."""
-    deg_m = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce: x^deg_m = -(mod[:-1]) since mod is monic
-    for d in range(len(res) - 1, deg_m - 1, -1):
-        c = res[d]
-        if c == 0:
-            continue
-        res[d] = 0
-        for j in range(deg_m):
-            res[d - deg_m + j] = (res[d - deg_m + j] - c * mod[j]) % p
-    out = res[:deg_m]
-    out += [0] * (deg_m - len(out))
-    return tuple(out)
-
-
 def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Trial division of a monic polynomial by all smaller monic polynomials."""
     deg = len(poly) - 1
@@ -135,14 +113,8 @@ class Field:
         self.p = p
         self.degree = k
         self.is_prime = k == 1
-        if self.is_prime:
-            els = np.arange(q)
-            self.poly = None
-            self._add_table = (els[:, None] + els) % q
-            self._mul_table = els[:, None] * els % q
-        else:
-            self.poly = IRREDUCIBLE_POLYS.get((p, k)) or _find_irreducible(p, k)
-            self._build_tables()
+        self.poly = None if self.is_prime else IRREDUCIBLE_POLYS.get((p, k)) or _find_irreducible(p, k)
+        self._build_tables()
         # -a and 1/a sit where the row of a holds 0 and 1; 1/0 is left 0
         self._neg_table = (self._add_table == 0).argmax(axis=1)
         self._inv_table = (self._mul_table == 1).argmax(axis=1)
@@ -156,34 +128,23 @@ class Field:
 
     # -- construction ---------------------------------------------------
 
-    def _label_to_poly(self, label: int) -> tuple[int, ...]:
-        cs = []
-        for _ in range(self.degree):
-            cs.append(label % self.p)
-            label //= self.p
-        return tuple(cs)
-
-    def _poly_to_label(self, cs: tuple[int, ...]) -> int:
-        label = 0
-        for c in reversed(cs):
-            label = label * self.p + (c % self.p)
-        return label
-
     def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        polys = [self._label_to_poly(x) for x in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            pa = polys[a]
-            for b in range(a, q):
-                pb = polys[b]
-                s = tuple((x + y) % p for x, y in zip(pa, pb))
-                add[a, b] = add[b, a] = self._poly_to_label(s)
-                m = _poly_mul_mod(pa, pb, self.poly, p)
-                mul[a, b] = mul[b, a] = self._poly_to_label(m)
-        self._add_table = add
-        self._mul_table = mul
+        """The q x q addition and multiplication tables, computed on the
+        base-p digits D of the labels, constant term first.  A sum adds
+        digits mod p.  A product convolves them, then reduces each term of
+        degree k and up, top degree first, by x^k = -(poly less its
+        leading term); a prime field (k = 1) has no such term."""
+        q, p, k = self.q, self.p, self.degree
+        weights = p ** np.arange(k)
+        D = np.arange(q)[:, None] // weights % p
+        self._add_table = (D[:, None, :] + D[None, :, :]) % p @ weights
+        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, :, i:i + k] += D[:, None, i, None] * D[None, :, :]
+        prod %= p
+        for d in range(2 * k - 2, k - 1, -1):
+            prod[:, :, d - k:d] = (prod[:, :, d - k:d] - prod[:, :, d, None] * self.poly[:k]) % p
+        self._mul_table = prod[:, :, :k] @ weights
 
     def _check_axioms(self) -> None:
         q = self.q

@@ -10,11 +10,12 @@ exhaustively with memoization, and works for any small module.  For
 preprojective bricks and homogeneous modules on an affine quiver, every
 indecomposable submodule is itself a preprojective root module, so the
 search reduces to root combinatorics plus explicit monomorphism checks;
-that engine handles the larger sweeps.  It ranks the roots below dim M by
-their (cached) measures and tests embeddings best first, so the first
-root module that embeds gives the measure; roots whose Euler form with
-dim M is not positive have Hom(X, M) = 0 there and are never tested.  The
-two engines agree on their overlap, which the tests pin down.
+that engine handles the larger sweeps.  It ranks the roots below dim M
+(read off the Coxeter orbits of the projectives) by their cached measures
+and tests embeddings best first, so the first root module that embeds
+gives the measure; roots whose Euler form with dim M is not positive
+have Hom(X, M) = 0 there and are never tested.  The two engines agree on
+their overlap, which the tests pin down.
 
 The exhaustive engine keeps only the indecomposable submodules.  A module
 is decided indecomposable by one count: End(M) is local exactly when its
@@ -43,7 +44,7 @@ from .quiver import (
     defect,
     euler_form,
     is_affine,
-    positive_real_roots,
+    preprojective_roots,
     radical_delta,
     tits_form,
 )
@@ -125,11 +126,6 @@ def _root_module(Q: Quiver, F: Field, x: tuple[int, ...]) -> Rep:
 
 
 @lru_cache(maxsize=None)
-def _preproj_roots_inside(Q: Quiver, box: tuple[int, ...]) -> tuple:
-    return tuple(x for x in positive_real_roots(Q, box) if defect(Q, x) < 0)
-
-
-@lru_cache(maxsize=None)
 def _root_measure(Q: Quiver, F: Field, x: tuple[int, ...]) -> Measure:
     """Measure of the preprojective indecomposable with root x."""
     return _measure_over_roots(_root_module(Q, F, x))
@@ -138,7 +134,8 @@ def _root_measure(Q: Quiver, F: Field, x: tuple[int, ...]) -> Measure:
 def _ranked_roots(M: Rep) -> list:
     """(d, measure of d) for every preprojective root d below dim M that
     can embed in M, best measure first; a stable sort keeps equal
-    measures in the order of `_preproj_roots_inside`.
+    measures in lexicographic order.  The roots are read off
+    `preprojective_roots` for the least m with dim M <= m delta.
 
     A root d with <d, dim M> <= 0 is left out, as Hom(X, M) = 0 for its
     module X.  On the root engine's range, X preprojective and M a
@@ -149,8 +146,10 @@ def _ranked_roots(M: Rep) -> list:
     2.4; Assem-Simson-Skowronski, vol. 1, ch. VIII).  So
     hom(X, M) = max(<d, dim M>, 0)."""
     Q, F = M.quiver, M.field
-    ranked = [(d, _root_measure(Q, F, d)) for d in _preproj_roots_inside(Q, M.dims)
-              if d != M.dims and euler_form(Q, d, M.dims) > 0]
+    m = max(-(-a // b) for a, b in zip(M.dims, radical_delta(Q)))
+    ranked = [(d, _root_measure(Q, F, d)) for d in preprojective_roots(Q, m)
+              if d != M.dims and all(a <= b for a, b in zip(d, M.dims))
+              and euler_form(Q, d, M.dims) > 0]
     ranked.sort(key=lambda r: measure_key(r[1]), reverse=True)
     return ranked
 

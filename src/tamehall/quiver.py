@@ -398,6 +398,34 @@ def injective_walk(Q: Quiver, x) -> tuple[int, int] | None:
     return known[tuple(y)], r
 
 
+@lru_cache(maxsize=None)
+def preprojective_roots(Q: Quiver, m: int) -> tuple[DimVector, ...]:
+    """The x <= m delta that `injective_walk(opposite(Q), x)` accepts,
+    sorted: on an affine quiver, the preprojective roots below m delta,
+    whose modules `functors.build_preprojective` builds.
+
+    They are read off the orbits Phi^-r dim P_j (Dlab-Ringel, Mem. AMS
+    173, 1976), dim P_j being dim I_j of Q^op, walked while positive and
+    r <= m |delta| + 4n: x = Phi^-r dim P_j is kept when x <= m delta and
+    r <= |x| + 4n.  The walk from x applies Phi, the Phi^-1 of Q^op, and
+    accepts x when Phi^s x is positive for 0 < s <= r, Phi^r x = dim P_j
+    and r <= |x| + 4n.  As Phi is invertible, Phi^s x = Phi^-(r-s) dim P_j:
+    the walk and the orbit pass through the same vectors with the same
+    positivity test and bound on r, which |x| <= m |delta| keeps inside
+    the orbit's.  So x is kept exactly when the walk accepts it; a walk
+    that meets a dim P_k first accepts an x kept on the orbit of P_k."""
+    delta, n = radical_delta(Q), Q.n
+    Y = np.array(injective_dims(opposite(Q)), dtype=np.int64).T    # column j: Phi^-r dim P_j
+    alive = np.ones(n, dtype=bool)                                  # orbit j positive so far
+    found = set()
+    for r in range(m * sum(delta) + 4 * n + 1):
+        keep = alive & (Y.T <= np.multiply(m, delta)).all(axis=1) & (r <= Y.sum(axis=0) + 4 * n)
+        found.update(tuple(int(v) for v in x) for x in Y.T[keep])
+        Y = coxeter_inverse(Q) @ Y
+        alive &= (Y >= 0).all(axis=0) & Y.any(axis=0)
+    return tuple(sorted(found))
+
+
 # -- reorientation and sink words --------------------------------------
 
 

@@ -63,9 +63,6 @@ class Rep:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
-
 
 def simple_rep(Q: Quiver, F: Field, i: int) -> Rep:
     dims = tuple(1 if j == i else 0 for j in range(Q.n))

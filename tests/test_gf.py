@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import random
@@ -123,6 +124,40 @@ def test_prime_inverses_up_to_max_q():
             assert np.array_equal(F.sub(a, b), (a - b) % q)
             assert np.array_equal(F.mul(a, b), a * b % q)
             assert np.array_equal(F.neg(b), -b % q)
+
+
+# First 16 hex digits of the sha256 of the addition and multiplication
+# tables (little-endian int64 bytes) of every GF(p^k), k > 1, as the
+# polynomial loop they replaced built them; `_check_axioms` covers only
+# q <= 16.
+TABLE_DIGESTS = {
+    4: ("cd18db5001222f5a", "474cf06ceecdd9b0"),
+    8: ("0c36cc322607a32c", "b4c2ddaec51f537d"),
+    9: ("86ac843ff1f14f5e", "570c990a2f2314c2"),
+    16: ("c23e73c80b6902c1", "b046715b8028e859"),
+    25: ("35ca85530c66b2ee", "03a46c7d186459b4"),
+    27: ("8a032eac974c725c", "a1a7d8805ba20f94"),
+    32: ("5f7df29d5dcb6897", "9db49a981e72f1d9"),
+    49: ("73678cf071cf7baa", "c3ebe1de5a2aecf0"),
+    64: ("779fcd7c371f9bad", "9acd8acc8ab7fd85"),
+    81: ("03ed3956e07257e3", "f8000f30008553d9"),
+    121: ("2c5d9b9d8f002071", "98efd4110564fec6"),
+    125: ("de248ad0a4cc2193", "029cc52717d4f67d"),
+    128: ("88b1e5f011366261", "444486fa0d491914"),
+    169: ("0a78fdd01b38120f", "579a9f692d72f87e"),
+    243: ("f51377565878b2dc", "bef9be654e834c12"),
+    256: ("8789a1484021cb8c", "23fd2bfb28904303"),
+}
+
+
+def test_extension_field_tables_are_pinned():
+    orders = sorted(p ** k for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p ** k <= 256)
+    got = {}
+    for q in orders:
+        F = Field(q)
+        got[q] = tuple(hashlib.sha256(t.astype("<i8").tobytes()).hexdigest()[:16]
+                       for t in (F._add_table, F._mul_table))
+    assert got == TABLE_DIGESTS
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])

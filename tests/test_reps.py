@@ -91,7 +91,7 @@ def test_direct_sum_blocks():
 
 def test_zero_and_simple():
     F = field(2)
-    assert zero_rep(K, F).is_zero()
+    assert zero_rep(K, F).total_dim == 0
     S = simple_rep(K, F, 1)
     assert S.dims == (0, 1) and S.total_dim == 1
 

@@ -1,5 +1,7 @@
-"""The height sink word and the Coxeter walk against the walks they
-replaced (`tests/walk_oracles.py`), on random orientations of the presets.
+"""The height sink word, the Coxeter walk, the orbit list of the
+preprojective roots and the memoised translates against the walks they
+replaced (`tests/walk_oracles.py`) and the box scan of the roots, on
+random orientations of the presets.
 
 Two sink words with the same letter counts that reach the same
 orientation may differ in order only by reflections at non-adjacent
@@ -9,7 +11,11 @@ equal to the byte."""
 import random
 from collections import Counter
 
-from tamehall.functors import build_preprojective, reflect_plus
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tamehall import functors
+from tamehall.functors import build_preinjective, build_preprojective, reflect_plus
 from tamehall.gf import field
 from tamehall.homreg import homogeneous_simples
 from tamehall.quiver import (
@@ -19,15 +25,17 @@ from tamehall.quiver import (
     injective_walk,
     opposite,
     positive_real_roots,
+    preprojective_roots,
     preset_quiver,
     radical_delta,
     reorient_toward,
     sigma_reverse,
     sink_sequence_to,
+    tits_form,
 )
-from tamehall.reps import injective_rep
+from tamehall.reps import dual, injective_rep
 
-from walk_oracles import component_flip_word, reflect_to_simple
+from walk_oracles import component_flip_word, reflect_to_simple, tau_loop_walk
 
 TREE_PRESETS = ("a:1", "a:2", "a:5", "d:4", "d:6", "e:6", "e:7", "e:8",
                 "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde", "e7tilde", "e8tilde")
@@ -35,6 +43,8 @@ AFFINE_PRESETS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde",
                   "e7tilde", "e8tilde")
 # Largest box of dimension vectors the root suites enumerate.
 ROOT_BOX = 50_000
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def random_orientation(name, rng):
@@ -141,3 +151,70 @@ def test_coxeter_walk_refuses_roots_that_are_not_preinjective():
     assert injective_walk(Q, delta) is None
     for x in positive_real_roots(Q, delta):
         assert (injective_walk(Q, x) is not None) == (defect(Q, x) > 0)
+
+
+@st.composite
+def affine_quivers(draw):
+    """A random orientation of one of the affine presets."""
+    return random_orientation(draw(st.sampled_from(AFFINE_PRESETS)),
+                              random.Random(draw(st.integers(0, 2**32))))
+
+
+@PROPERTY
+@given(affine_quivers())
+def test_orbit_list_is_the_box_scan_and_the_walk_set(Q):
+    """At delta, and at 2 delta where `_box` scans it, the orbit list is
+    the negative-defect roots of the box scan and the roots the walk on
+    Q^op accepts.  The walk accepts only real roots, since Phi keeps the
+    Tits form, so walking the scan's roots covers the whole box."""
+    delta = radical_delta(Q)
+    for m in (1, 2) if _box(Q) != delta else (1,):
+        box = positive_real_roots(Q, tuple(m * d for d in delta))
+        got = preprojective_roots(Q, m)
+        assert got == tuple(x for x in box if defect(Q, x) < 0)
+        assert got == tuple(x for x in box if injective_walk(opposite(Q), x) is not None)
+
+
+def test_orbit_list_of_e8tilde_beyond_the_box_scan():
+    """At 2 delta and 3 delta, where the box scan refuses E~8, the list
+    holds real roots of negative defect below m delta."""
+    Q = preset_quiver("e8tilde")
+    delta = radical_delta(Q)
+    for m, count in ((1, 106), (2, 212), (3, 318)):
+        roots = preprojective_roots(Q, m)
+        assert len(roots) == count
+        for x in roots:
+            assert tits_form(Q, x) == 1 and defect(Q, x) < 0
+            assert all(a <= m * d for a, d in zip(x, delta))
+
+
+def _preinjective_sample(Q, rng, k):
+    """k preinjective roots inside `_box(Q)`, or all when there are fewer."""
+    roots = [x for x in positive_real_roots(Q, _box(Q)) if defect(Q, x) > 0]
+    return rng.sample(roots, min(k, len(roots)))
+
+
+def test_memoised_walk_equals_the_translate_loop():
+    rng = random.Random(186)
+    for name in AFFINE_PRESETS:
+        for q in (3, 4, 5):
+            F = field(q)
+            Q = random_orientation(name, rng)
+            for x in _preinjective_sample(Q, rng, 6):
+                assert same_bytes(functors._walk(Q, F, x, "preinjective"), tau_loop_walk(Q, F, x))
+
+
+def test_forced_fallback_equals_the_translate_loop(monkeypatch):
+    """With every lift refused, the constructors take the walk over the
+    target field itself."""
+    monkeypatch.setattr(functors, "_lift_is_brick", lambda *a: False)
+    rng = random.Random(187)
+    for name in ("kronecker", "dtilde:4", "e6tilde"):
+        for q in (2, 4, 5):
+            F = field(q)
+            Q = random_orientation(name, rng)
+            for x in _preinjective_sample(Q, rng, 4):
+                assert same_bytes(build_preinjective(Q, F, x), tau_loop_walk(Q, F, x))
+            for x in preprojective_roots(Q, 1)[:4]:
+                assert same_bytes(build_preprojective(Q, F, x),
+                                  dual(tau_loop_walk(opposite(Q), F, x)))

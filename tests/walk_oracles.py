@@ -3,19 +3,24 @@
 compare them with: the sink word that fixes one wrongly oriented edge at a
 time by reflecting through an admissible order of its far-side component,
 and the walk of a preprojective root down to a simple projective by sweeps
-of sink reflections on dimension vectors."""
+of sink reflections on dimension vectors.  Beside them, the module of a
+preinjective root built by translating its injective r times afresh, the
+reference for the memoised translates of `functors._walk`."""
 
 import numpy as np
 
+from tamehall.functors import tau
 from tamehall.quiver import (
     _reflection_matrix,
     admissible_sink_order,
     defect,
+    injective_walk,
     radical_delta,
     reorient_toward,
     sigma_reverse,
     tits_form,
 )
+from tamehall.reps import injective_rep
 
 from rep_helpers import unit_vector
 
@@ -99,3 +104,13 @@ def reflect_to_simple(Q, x):
             word.append(i)
             cur = sigma_reverse(cur, i)
     raise AssertionError(f"{x} reached no simple within {limit} reflections")
+
+
+def tau_loop_walk(Q, F, x):
+    """The module of the preinjective root x: the injective I_j that the
+    Coxeter walk reaches, translated r times in a loop."""
+    j, r = injective_walk(Q, x)
+    N = injective_rep(Q, F, j)
+    for _ in range(r):
+        N = tau(N)
+    return N
