@@ -238,9 +238,11 @@ def hall_number_sink_lines(R: Rep, i: int) -> int:
 def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...]) -> list[tuple[int, int]]:
     """One-sink counts over the given fields, one homogeneous module per
     field (the first that `homreg.sink_family` yields).  At the smallest
-    field that carries a second homogeneous module, the count is
-    recomputed there and must agree; the count does not depend on the
-    module.
+    of the given fields that carries a second homogeneous module, the
+    count is recomputed there and must agree; the count does not depend
+    on the module.  The check runs once per call: `hall_poly_f` makes two,
+    so it runs once among the samples and again among the held-out fields
+    (on e8tilde at q = 4 and at q = 11).
 
     The family is built once per underlying graph and field, in one base
     orientation, and each member read is moved to Q by sink reflections:
@@ -331,7 +333,9 @@ def hall_poly_f(Q: Quiver, i: int) -> HallPolynomial:
     """The count polynomial f_m for a one-sink quiver with sink i, where
     m is the sink entry of delta.  Samples m fields, interpolates with
     degree cap m - 1, verifies on one or two held-out fields, and
-    asserts the observed monic-of-degree-(m-1) shape."""
+    asserts the observed monic-of-degree-(m-1) shape.  The samples and
+    the held-out fields are two `sample_counts` calls, so the count is
+    cross-checked on a second homogeneous module in each of them."""
     delta = _sink_delta(Q, i)
     m = delta[i]
     sample_fields = SAMPLE_FIELDS[:m]

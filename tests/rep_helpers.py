@@ -1,11 +1,23 @@
 """Small constructions and comparisons the tests use and the package does
-not: unit dimension vectors, the zero module, structural equality of
-modules, and whether per-vertex subspaces form a submodule."""
+not: random orientations of the presets, unit dimension vectors, the zero
+module, structural equality of modules, and whether per-vertex subspaces
+form a submodule."""
 
 import numpy as np
 
 from tamehall.gf import in_rowspace
+from tamehall.quiver import Quiver, preset_quiver
 from tamehall.reps import Rep
+
+
+def random_orientation(name, rng):
+    """The preset with each arrow flipped at random; the two arrows of the
+    Kronecker quiver flip together, so that it stays acyclic."""
+    base = preset_quiver(name)
+    flips = [rng.random() < 0.5 for _ in base.arrows]
+    if name == "kronecker":
+        flips = [flips[0]] * 2
+    return Quiver(base.n, tuple((t, s) if f else (s, t) for f, (s, t) in zip(flips, base.arrows)))
 
 
 def unit_vector(n, i):

@@ -19,7 +19,6 @@ from tamehall.functors import build_preinjective, build_preprojective, reflect_p
 from tamehall.gf import field
 from tamehall.homreg import homogeneous_simples
 from tamehall.quiver import (
-    Quiver,
     defect,
     injective_dims,
     injective_walk,
@@ -35,6 +34,7 @@ from tamehall.quiver import (
 )
 from tamehall.reps import dual, injective_rep
 
+from rep_helpers import random_orientation
 from walk_oracles import component_flip_word, reflect_to_simple, tau_loop_walk
 
 TREE_PRESETS = ("a:1", "a:2", "a:5", "d:4", "d:6", "e:6", "e:7", "e:8",
@@ -45,16 +45,6 @@ AFFINE_PRESETS = ("kronecker", "dtilde:4", "dtilde:5", "dtilde:6", "e6tilde",
 ROOT_BOX = 50_000
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-def random_orientation(name, rng):
-    """The preset with each arrow flipped at random; the two arrows of the
-    Kronecker quiver flip together, so that it stays acyclic."""
-    base = preset_quiver(name)
-    flips = [rng.random() < 0.5 for _ in base.arrows]
-    if name == "kronecker":
-        flips = [flips[0]] * 2
-    return Quiver(base.n, tuple((t, s) if f else (s, t) for f, (s, t) in zip(flips, base.arrows)))
 
 
 def moved(M, word):
