@@ -3,12 +3,14 @@
 A Hall number F^M_{N1 N2} counts the submodules U of M with U isomorphic
 to N2 and M/U isomorphic to N1.  The generic routine enumerates
 submodules directly.  For the one-sink counts that feed the polynomial
-table there is a fast path that enumerates normalized surjection classes
+table there is a fast path that counts the scalar classes of surjections
 onto the expected preinjective quotient I, plus a literal line-by-line
-check kept as a cross oracle.  The fast path tests each class for
-surjectivity on top(I) = I / rad I only: by Nakayama's lemma a map onto
-the top of I is onto I, since rad I is spanned by arrow images and the
-arrow ideal of an acyclic quiver is nilpotent.
+check kept as a cross oracle.  By Nakayama's lemma a map onto the top
+top(I) = I / rad I is onto I, since rad I is spanned by arrow images and
+the arrow ideal of an acyclic quiver is nilpotent.  The fast path counts
+the complement: every class that misses top(I) at some vertex lies in
+the kernel of a small linear map, and it marks the points of those
+kernels instead of testing every class.
 
 Counts sampled over several fields are interpolated into exact integer
 polynomials in q, with held-out fields used for verification.
@@ -28,9 +30,9 @@ from fractions import Fraction
 from .functors import build_preinjective
 from .gf import (
     _factor_prime_power,
-    batched_full_row_rank,
     enumerate_subspaces,
     field,
+    kernel_basis,
     scalar_class_images,
 )
 # Kept bound although unused: bench/test_bench_tracer.py expects hall and gr to share it.
@@ -164,18 +166,30 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     rad I = J I for the arrow ideal J, and J is nilpotent because the
     quiver has no oriented cycle; so if the image U of phi has
     U + J I = I, then I = U + J^2 I = ... = U.  top(I) is semisimple, so
-    the composite is onto exactly when pi_j phi_j (t_j x r_j, with
+    the composite is onto exactly when pi_j phi_j (t_j x delta_j, with
     t_j = dim top(I)_j) has full row rank at every vertex with t_j > 0.
-    The count equals the one that checks every phi_j on all of I_j, on
-    fewer and smaller matrices.
 
-    The classes are enumerated by `scalar_class_images` on S, the h x W
-    concatenation of the per-vertex rows pi_j phi_k (flattened): each
-    block holds the composites c S of a set of classes c at every vertex
-    at once, and each vertex reads its columns.  A vertex with t_j = 1 is
-    a nonzero test on the whole block; one with t_j >= 2 goes through
-    `batched_full_row_rank` on the classes still alive.  The count does
-    not depend on the order of the classes.
+    The count is the complement of the classes that fail.  With
+    phi_c = sum_k c_k phi_k over the h basis maps, pi_j phi_{c,j} lacks
+    full row rank exactly when some y != 0 in GF(q)^{t_j} has
+    0 = y pi_j phi_{c,j} = sum_k c_k (y pi_j phi_{k,j}), that is when c
+    lies in the left kernel K_{j,y} of the h x delta_j matrix M_{j,y}
+    whose rows are y pi_j phi_{k,j}.  A multiple of y has the same
+    kernel, so the count is #P^{h-1} = (q^h - 1)/(q - 1) minus the
+    number of classes in the union of the P(K_{j,y}), over the j with
+    t_j > 0 and the scalar classes of y.  The matrices M_{j,y} of every
+    y are the images under `scalar_class_images` of the t_j x (h delta_j)
+    stack of the pi_j phi_{k,j}; a vertex with t_j = 1 has y = 1 alone.
+
+    `kernel_basis` gives each K_{j,y} as a basis in reduced echelon
+    form.  A combination a K whose first nonzero coefficient a_r is 1
+    then has its first nonzero entry, a 1, at the pivot column of row r,
+    and distinct such a give distinct vectors; so the points that
+    `scalar_class_images` lists for K are the normalized representatives
+    (first nonzero entry 1) of the classes in P(K), each once, and a
+    one-row kernel is its own single point.  A normalized c is marked at
+    its base-q code sum_k c_k q^(h-1-k), which is below 2 q^(h-1)
+    because its first nonzero entry is 1; the marks count the union.
     """
     delta = _check_sink_instance(R, i)
     if I_expected.dims != _minus_unit(delta, i) or I_expected.field != R.field or I_expected.quiver != R.quiver:
@@ -189,33 +203,25 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     if h == 0:
         return 0
     pi = top_projection(I_expected)
-    tops = [p.shape[0] for p in pi]
-    order = [j for j in range(R.quiver.n) if tops[j] > 0]
-    if not order:
+    top_vertices = [j for j in range(R.quiver.n) if pi[j].shape[0] > 0]
+    if not top_vertices:
         raise InternalInconsistencyError("expected quotient is nonzero but its top is zero")
-    order.sort(key=lambda j: (tops[j], delta[j], j))
-    # row k holds pi_j phi_j of the k-th basis map, flattened, for every j
-    # in order: the image c S of a class c is its composite at all vertices
-    S = np.concatenate([np.stack([F.matmul(pi[j], phi[j]).reshape(-1) for phi in basis])
-                        for j in order], axis=1)
-    spans, lo = [], 0
-    for j in order:
-        spans.append((j, slice(lo, lo + tops[j] * delta[j])))
-        lo += tops[j] * delta[j]
-    total = 0
-    for block in scalar_class_images(F, S):
-        alive = np.ones(block.shape[0], dtype=bool)
-        for j, cols in spans:
-            if tops[j] == 1:
-                alive &= block[:, cols].any(axis=1)
-                continue
-            live = np.flatnonzero(alive)
-            if live.size == 0:
-                break
-            mats = block[live, cols].reshape(live.size, tops[j], delta[j])
-            alive[live[~batched_full_row_rank(F, mats)]] = False
-        total += int(alive.sum())
-    return total
+    q = F.q
+    codes = q ** np.arange(h - 1, -1, -1, dtype=np.int64)
+    marked = np.zeros(2 * q ** (h - 1), dtype=bool)
+    for j in top_vertices:
+        # stack[:, k * delta_j + l] = (pi_j phi_{k,j})[:, l], so y stack
+        # read as an h x delta_j matrix is M_{j,y}
+        stack = np.concatenate([F.matmul(pi[j], phi[j]) for phi in basis], axis=1)
+        rows = stack if stack.shape[0] == 1 else np.concatenate(list(scalar_class_images(F, stack)))
+        for row in rows:
+            K = kernel_basis(F, row.reshape(h, delta[j]).T)
+            if K.shape[0] == 1:
+                marked[K[0] @ codes] = True
+            elif K.shape[0] > 1:
+                for points in scalar_class_images(F, K):
+                    marked[points @ codes] = True
+    return (q ** h - 1) // (q - 1) - int(np.count_nonzero(marked))
 
 
 def hall_number_sink_lines(R: Rep, i: int) -> int:

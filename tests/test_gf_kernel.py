@@ -10,7 +10,7 @@ every shape up to 12 x 12 (empty ones included), sparse ones up to 40 x 40,
 the End systems of homogeneous modules (the dense matrices of
 `hom_oracles`), the large sparse shape the one-sink table ranks, and
 batches of up to 60 matrices of at most 4 x 6 with rank deficiency built
-in, the shapes the one-sink count tests.
+in, the shapes the class-scan oracle of the one-sink count tests.
 """
 
 from functools import lru_cache
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from tamehall import gf
+from tamehall import gf, hall
 from tamehall.functors import build_preinjective
 from tamehall.gf import (
     batched_full_row_rank,
@@ -400,9 +400,11 @@ def _per_vertex_count(R, I):
 
 @pytest.mark.parametrize("q", (8, 9))
 def test_sink_count_matches_the_per_vertex_loop_in_small_blocks(q, monkeypatch):
-    """e8tilde m = 5: with the block cap at 2,048 entries (64 of the 31-wide
-    rows), the classes led by the first coordinates come as many prefixes
-    of one product-set table."""
+    """e8tilde m = 5 (h = 5): with the block cap at 2,048 entries, the
+    points of a kernel K_{j,y} of the complement count (rows of length 5)
+    come in blocks of at most 409 rows, a product-set table of 64 or 81
+    rows plus one prefix each, so a kernel of four rows lists the points
+    led by its first row as several prefixes of one table."""
     Q = preset_quiver("e8tilde")
     i = radical_delta(Q).index(5)
     Qi, F = reorient_toward(Q, i), field(q)
@@ -410,4 +412,14 @@ def test_sink_count_matches_the_per_vertex_loop_in_small_blocks(q, monkeypatch):
     I = build_preinjective(Qi, F, _minus_unit(radical_delta(Qi), i))
     whole = hall_number_sink_fast(R, i, I)
     monkeypatch.setattr(gf, "_IMAGE_BLOCK_ENTRIES", 2048)
+    split = []  # (rows, blocks) of every kernel whose points were listed
+
+    def counting(F, S):
+        blocks = list(scalar_class_images(F, S))
+        if S.shape[1] == 5:
+            split.append((S.shape[0], len(blocks)))
+        yield from blocks
+
+    monkeypatch.setattr(hall, "scalar_class_images", counting)
     assert hall_number_sink_fast(R, i, I) == whole == _per_vertex_count(R, I)
+    assert any(blocks > rows for rows, blocks in split)
