@@ -15,6 +15,7 @@ import sys
 import click
 
 from .errors import (
+    DEFAULT_BUDGET,
     InfeasibleEnumerationError,
     InternalInconsistencyError,
     InvalidInputError,
@@ -421,7 +422,7 @@ def cmd_tau(v, Q, F):
 
 @command("hall-number", click.Argument(["module_m"]), click.Argument(["module_n1"]),
          click.Argument(["module_n2"]), FIELD,
-         click.Option(["--budget"], type=int, default=2_000_000,
+         click.Option(["--budget"], type=int, default=DEFAULT_BUDGET,
                       help="Cap on the subspace enumeration size."))
 def cmd_hall_number(v, Q, F):
     """Count submodules of MODULE_M isomorphic to MODULE_N2 with quotient
@@ -471,7 +472,7 @@ def cmd_hall_table(v, Q, F):
 
 
 @command("gr-measure", MODULE, FIELD,
-         click.Option(["--budget"], type=int, default=2_000_000,
+         click.Option(["--budget"], type=int, default=DEFAULT_BUDGET,
                       help="Cap on the submodule enumeration size."))
 def cmd_gr_measure(v, Q, F):
     """Print the chain measure of MODULE."""

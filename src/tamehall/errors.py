@@ -30,6 +30,10 @@ class QuiverStructureError(InvalidInputError):
         super().__init__(message)
 
 
+# The enumeration budget every exhaustive entry point and `--budget` default to.
+DEFAULT_BUDGET = 2_000_000
+
+
 class InfeasibleEnumerationError(TamehallError):
     """An exhaustive enumeration would exceed its budget."""
 

@@ -28,7 +28,8 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import InfeasibleEnumerationError, InternalInconsistencyError, InvalidInputError
+from .errors import (DEFAULT_BUDGET, InfeasibleEnumerationError, InternalInconsistencyError,
+                     InvalidInputError)
 
 MAX_Q = 256
 
@@ -428,7 +429,7 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(F: Field, n: int, d: int, budget: int | None = 2_000_000):
+def enumerate_subspaces(F: Field, n: int, d: int, budget: int | None = DEFAULT_BUDGET):
     """Yield every d-dimensional subspace of GF(q)^n exactly once, as a
     d x n reduced-row-echelon basis matrix.
 

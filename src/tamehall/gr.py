@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     InfeasibleEnumerationError,
     InternalInconsistencyError,
     InvalidInputError,
@@ -182,22 +183,21 @@ def _measure_over_roots(M: Rep) -> Measure:
 
 def _uses_root_engine(M: Rep) -> bool:
     """Reject a module outside the measure search's range; otherwise say
-    whether the root engine handles it (else the exhaustive engine does)."""
-    if sum(M.dims) == 0:
+    whether the root engine handles it.  Else the exhaustive engine does,
+    and as only it enumerates submodules, only it has a length cap."""
+    n = sum(M.dims)
+    if n == 0:
         raise InvalidInputError("the zero module has no measure")
-    if sum(M.dims) > MAX_AMBIENT:
-        raise InfeasibleEnumerationError(
-            f"module length {sum(M.dims)} above supported {MAX_AMBIENT}",
-            needed=sum(M.dims), budget=MAX_AMBIENT)
     if M.field.q > MAX_FIELD:
         raise InvalidInputError(f"measure search supports q <= {MAX_FIELD}")
     Q = M.quiver
-    if not is_affine(Q):
-        return False
-    if M.dims == radical_delta(Q):
-        return is_simple_homogeneous(M)
-    return (tits_form(Q, M.dims) == 1 and defect(Q, M.dims) < 0
-            and is_brick(M))
+    root = is_affine(Q) and (
+        is_simple_homogeneous(M) if M.dims == radical_delta(Q)
+        else tits_form(Q, M.dims) == 1 and defect(Q, M.dims) < 0 and is_brick(M))
+    if not root and n > MAX_AMBIENT:
+        raise InfeasibleEnumerationError(
+            f"module length {n} above supported {MAX_AMBIENT}", needed=n, budget=MAX_AMBIENT)
+    return root
 
 
 # -- exhaustive engine --------------------------------------------------
@@ -286,7 +286,7 @@ def _local_radical(M: Rep, budget: int) -> tuple[int, int | None]:
     return e, _singular_power(F, M, basis, budget)
 
 
-def is_indecomposable(M: Rep, budget: int = 2_000_000) -> bool:
+def is_indecomposable(M: Rep, budget: int = DEFAULT_BUDGET) -> bool:
     """M is nonzero and End(M) is local (see `_local_radical`)."""
     return _local_radical(M, budget)[1] is not None
 
@@ -339,7 +339,7 @@ def _rep_measure(M: Rep, budget: int, witnesses: list | None = None) -> Measure:
 # -- public measure API -------------------------------------------------
 
 
-def gr_measure(M: Rep, budget: int = 2_000_000) -> Measure:
+def gr_measure(M: Rep, budget: int = DEFAULT_BUDGET) -> Measure:
     """Best chain of indecomposable submodules of M, as the increasing
     tuple of their lengths."""
     if _uses_root_engine(M):
@@ -347,13 +347,13 @@ def gr_measure(M: Rep, budget: int = 2_000_000) -> Measure:
     return _rep_measure(M, budget)
 
 
-def gr_submodules(M: Rep, budget: int = 2_000_000) -> list[SubrepWitness]:
+def gr_submodules(M: Rep, budget: int = DEFAULT_BUDGET) -> list[SubrepWitness]:
     """All indecomposable submodules X with gr_measure(M) equal to
     gr_measure(X) extended by the length of M."""
     return _measure_and_submodules(M, budget)[1]
 
 
-def _measure_and_submodules(M: Rep, budget: int = 2_000_000) -> tuple[Measure, list]:
+def _measure_and_submodules(M: Rep, budget: int = DEFAULT_BUDGET) -> tuple[Measure, list]:
     """(gr_measure(M), gr_submodules(M)), from one root pass on the root
     engine and one submodule scan on the exhaustive one."""
     Q, F = M.quiver, M.field
@@ -409,7 +409,7 @@ def _count_copies(X: Rep, Y: Rep, budget: int) -> int:
                for spaces in enumerate_subreps(DY, budget=budget, dims=co))
 
 
-def count_submodules_report(X: Rep, Y: Rep, budget: int = 2_000_000) -> SubmoduleCountReport:
+def count_submodules_report(X: Rep, Y: Rep, budget: int = DEFAULT_BUDGET) -> SubmoduleCountReport:
     """Count the submodules of Y isomorphic to X twice: directly, on the
     dual of Y (`_count_copies`), and via q^(s-r) (q^(h-s) - 1) / (q^(e-r) - 1)
     from the sizes of the singular set and the radical.  Both counts must
@@ -481,16 +481,14 @@ class GRReport:
 
 
 def verify_main_theorem(Q: Quiver, F: Field) -> GRReport:
-    """Build one homogeneous module R, find its best submodule chain, and
-    check the endpoint: the chain submodule P has defect -1, R/P is an
+    """Check Chen's theorem, which the paper extends to E~8 and to every
+    field, on the first homogeneous simple R of the lazy scan: the GR
+    submodule P at the end of its best chain has defect -1, R/P is an
     indecomposable preinjective of defect 1, and the pair (R/P, P) has
-    Hom and Ext vanishing except for a two-dimensional Ext(R/P, P)."""
-    if not is_affine(Q):
-        raise InvalidInputError("verification needs an affine quiver")
-    delta = radical_delta(Q)
-    if sum(delta) > MAX_AMBIENT:
-        raise InvalidInputError(f"radical length {sum(delta)} above supported {MAX_AMBIENT}")
-    if F.q > MAX_FIELD or F.q < 3:
+    Hom and Ext vanishing except for a two-dimensional Ext(R/P, P).
+    Checked for 3 <= q <= 5: GF(2) has no homogeneous simple on the D~
+    and E~ presets, and the measure search refuses q > 5."""
+    if F.q < 3:
         raise InvalidInputError("verification supports 3 <= q <= 5")
     first = next(homogeneous_simples(Q, F), None)
     if first is None:

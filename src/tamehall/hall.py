@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     InternalInconsistencyError,
     InvalidInputError,
     VerificationError,
@@ -114,7 +115,7 @@ class HallPolynomial:
         return " ".join(parts)
 
 
-def hall_number(M: Rep, N1: Rep, N2: Rep, budget: int = 2_000_000) -> int:
+def hall_number(M: Rep, N1: Rep, N2: Rep, budget: int = DEFAULT_BUDGET) -> int:
     """Count submodules U of M with U = N2 and M/U = N1 up to isomorphism."""
     if N1.field != M.field or N2.field != M.field or N1.quiver != M.quiver or N2.quiver != M.quiver:
         raise InvalidInputError("all three modules must live over one quiver and field")

@@ -42,25 +42,8 @@ class Quiver:
                 raise QuiverStructureError(f"arrow ({s},{t}) out of range", code="range")
             if s == t:
                 raise QuiverStructureError(f"loop at vertex {s}", code="loop")
-        self._check_acyclic()
+        admissible_sink_order(self)
         self._check_connected()
-
-    def _check_acyclic(self):
-        indeg = [0] * self.n
-        for _, t in self.arrows:
-            indeg[t] += 1
-        queue = [v for v in range(self.n) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        if seen != self.n:
-            raise QuiverStructureError("quiver has an oriented cycle", code="cycle")
 
     def _check_connected(self):
         if -1 in _breadth_first(self, 0)[0]:
@@ -129,13 +112,17 @@ def admissible_sink_order(Q: Quiver) -> tuple[int, ...]:
 
     Reversing at a vertex already taken only flips the arrows incident to
     it, so the arrows among the remaining vertices are still Q's own and
-    each vertex is a sink of the reflected quiver at its turn.
+    each vertex is a sink of the reflected quiver at its turn.  Such an
+    order exists exactly when Q has no oriented cycle, so the quiver
+    constructor takes its acyclicity check from here.
     """
     remaining = set(range(Q.n))
     targets = {v: {t for s, t in Q.arrows if s == v} for v in remaining}
     order = []
     while remaining:
-        sink = min(v for v in remaining if not targets[v] & remaining)
+        sink = min((v for v in remaining if not targets[v] & remaining), default=None)
+        if sink is None:
+            raise QuiverStructureError("quiver has an oriented cycle", code="cycle")
         order.append(sink)
         remaining.discard(sink)
     return tuple(order)

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     InfeasibleEnumerationError,
     InternalInconsistencyError,
     InvalidInputError,
@@ -256,7 +257,7 @@ def is_injective_morphism(F: Field, M: Rep, phi: tuple[np.ndarray, ...]) -> bool
 
 
 def injective_classes(F: Field, X: Rep, basis: list[tuple[np.ndarray, ...]],
-                      budget: int = 2_000_000):
+                      budget: int = DEFAULT_BUDGET):
     """Yield phi for every scalar class of combinations of the Hom(X, -)
     basis that is injective at every vertex, one class at a time, as the
     per-vertex slices of the rows of `scalar_class_images` on the flattened
@@ -416,7 +417,7 @@ def _walk_plan(Q: Quiver) -> tuple[tuple[int, ...], tuple]:
     return order, tuple(plan)
 
 
-def enumerate_subreps(M: Rep, budget: int = 2_000_000, dims=None):
+def enumerate_subreps(M: Rep, budget: int = DEFAULT_BUDGET, dims=None):
     """Yield every subrepresentation of M as a tuple of per-vertex reduced
     row bases.  With `dims`, restrict to that dimension vector.
 
@@ -506,7 +507,7 @@ def enumerate_subreps(M: Rep, budget: int = 2_000_000, dims=None):
 # -- isomorphism testing -----------------------------------------------
 
 
-def is_isomorphic(M: Rep, N: Rep, budget: int = 2_000_000) -> bool:
+def is_isomorphic(M: Rep, N: Rep, budget: int = DEFAULT_BUDGET) -> bool:
     """Exact isomorphism test: scan the scalar classes of Hom(M, N) for one
     that is invertible at every vertex."""
     if M.quiver != N.quiver or M.field != N.field:

@@ -300,6 +300,32 @@ def test_gr_check_json_report(capsys):
                                      "ext_pq": 0, "ext_qp": 2}
 
 
+GR_CHECK_PINNED = {
+    "e7tilde": ([1, 2, 3, 4, 7, 8, 12, 17, 18], [0, 2, 3, 4, 3, 2, 1, 2],
+                [1, 0, 0, 0, 0, 0, 0, 0]),
+    "e8tilde": ([1, 2, 3, 4, 5, 6, 9, 10, 15, 20, 26, 30], [1, 2, 3, 4, 5, 5, 3, 1, 2],
+                [0, 0, 0, 0, 0, 1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GR_CHECK_PINNED))
+def test_gr_check_e7_e8_same_over_every_field(capsys, preset):
+    """The paper's headline case: on E~7 and E~8 the GR submodule of a
+    homogeneous simple is a preprojective of defect -1, and the report
+    does not depend on the field."""
+    measure, sub, quotient = GR_CHECK_PINNED[preset]
+    reports = []
+    for q in (3, 4, 5):
+        rc, doc, _ = run_json(capsys, "gr-check", "--preset", preset, "--field", str(q))
+        assert (rc, doc["check"], doc["field"]) == (0, "pass", q)
+        reports.append({k: v for k, v in doc.items() if k != "field"})
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["measure"] == measure
+    assert reports[0]["gr_submodule"] == {"dims": sub, "defect": -1}
+    assert reports[0]["quotient"] == {"dims": quotient, "defect": 1}
+    assert reports[0]["kronecker_pair"] == {"hom_qp": 0, "hom_pq": 0, "ext_pq": 0, "ext_qp": 2}
+
+
 def test_gr_check_needs_affine(capsys):
     rc, _, _ = run(capsys, "gr-check", "--preset", "d:4", "--field", "3")
     assert rc == 3

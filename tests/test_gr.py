@@ -178,16 +178,28 @@ def test_dtilde4_engines_agree_on_small_roots():
 
 
 def test_measure_rejects_oversize_inputs():
+    """The length cap guards the exhaustive engine only, and the field cap
+    is checked first: a long module over GF(7) is refused as invalid, and
+    root-engine modules longer than the cap, the E~8 homogeneous simple
+    and its GR submodule, are measured."""
     F = field(3)
     R = build_homogeneous_simples(D4, F)[0][1]
     big = direct_sum(direct_sum(R, R), R)
-    with pytest.raises(InfeasibleEnumerationError):
+    with pytest.raises(InfeasibleEnumerationError) as info:
         gr_measure(big)
+    assert (info.value.needed, info.value.budget) == (18, 14)
     with pytest.raises(InvalidInputError):
         gr_measure(simple_rep(K, field(7), 0))
+    F7 = field(7)
     with pytest.raises(InvalidInputError):
-        gr_measure(Z := simple_rep(K, F, 0).__class__(K, F, (0, 0),
-                   (F.zeros(0, 0), F.zeros(0, 0))))
+        gr_measure(Rep(K, F7, (8, 8), (F7.zeros(8, 8), F7.zeros(8, 8))))
+    with pytest.raises(InvalidInputError):
+        gr_measure(zero_rep(K, F))
+    E8 = preset_quiver("e8tilde")
+    assert gr_measure(build_homogeneous_simples(E8, F)[0][1]) == (
+        1, 2, 3, 4, 5, 6, 9, 10, 15, 20, 26, 30)
+    assert gr_measure(build_preprojective(E8, F, (1, 2, 3, 4, 5, 5, 3, 1, 2))) == (
+        1, 2, 3, 4, 5, 6, 9, 10, 15, 20, 26)
 
 
 def test_measure_passes_its_budget_to_the_indecomposability_test():
@@ -367,12 +379,12 @@ def test_same_measure_across_regulars_gf5():
 
 
 def test_verify_main_theorem_rejections():
-    with pytest.raises(InvalidInputError):
-        verify_main_theorem(preset_quiver("a:3"), field(3))
-    with pytest.raises(InvalidInputError):
-        verify_main_theorem(D4, field(2))
-    with pytest.raises(InvalidInputError):
-        verify_main_theorem(D4, field(7))
+    """A non-affine quiver is refused by the homogeneous family, GF(2) by
+    the verification itself and q > 5 by the measure search."""
+    for Q, q in [(preset_quiver("a:3"), 3), (D4, 2), (D4, 7),
+                 (preset_quiver("e8tilde"), 2), (preset_quiver("e8tilde"), 7)]:
+        with pytest.raises(InvalidInputError):
+            verify_main_theorem(Q, field(q))
 
 
 # ----------------------------------------------------- chain order lemmas
