@@ -6,7 +6,8 @@ over GF(p) as c0 + c1*p + c2*p^2 + ... where a is a root of the fixed
 irreducible polynomial of the field.  Every field, prime or not, looks
 its operations up in tables over the labels, so operands must be labels
 (see `Field`).  The element-wise operations accept numpy arrays and
-broadcast; `Field.matmul` and `batched_full_row_rank` are built on them.
+broadcast; `Field.matmul`, `batched_full_row_rank` and `batched_kernels`
+are built on them.
 Scalar elimination runs in Python instead, on the tables as nested lists,
 where per-call numpy overhead would dominate on the tiny or sparse systems
 it sees, in two loops, one per input form: `rref`, which `rank`,
@@ -495,6 +496,59 @@ def batched_full_row_rank(F: Field, mats: np.ndarray) -> np.ndarray:
         A = F.sub(F.mul(row[i, p][:, None, None], below),
                   F.mul(below[i, :, p][:, :, None], row[:, None, :]))
     return A[:, 0, :].any(axis=1)
+
+
+def batched_kernels(F: Field, mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`kernel_basis` of every matrix of a stack, by one Gauss-Jordan
+    elimination vectorised across it.
+
+    mats has shape (N, r, n) and is read, never written.  Like
+    `kernel_basis`, each matrix is reduced with its columns reversed, the
+    pivot in each column being the first eligible row, so each gets the
+    form `rref` gives it.  Matrices with the same pivot columns share the
+    non-pivot columns, so their complement rows are built together.
+    Returns one (indices, K) per pivot pattern: the indices into the stack
+    of the matrices with that pattern, and K of shape (G, f, n) with K[g]
+    the reduced echelon kernel basis of mats[indices[g]], f = n - rank.
+    """
+    A = np.asarray(mats, dtype=np.int64)[:, :, ::-1].copy()
+    N, r, n = A.shape
+    add, mul, neg, inv = F._add_table, F._mul_table, F._neg_table, F._inv_table
+    rank = np.zeros(N, dtype=np.int64)
+    is_pivot = np.zeros((N, n), dtype=bool)
+    rows, g = np.arange(r), np.arange(N)
+    for c in range(n):
+        if (rank == r).all():
+            break
+        eligible = (A[:, :, c] != 0) & (rows >= rank[:, None])
+        has = eligible.any(axis=1)
+        # a matrix with no pivot in column c swaps its row `top` with
+        # itself and gets the zero pivot row (inv[0] = 0), which changes
+        # nothing
+        top = np.minimum(rank, r - 1)
+        found = np.where(has, eligible.argmax(axis=1), top)
+        pivot_row = A[g, found]
+        A[g, found] = A[g, top]
+        pivot_row = mul[np.where(has, inv[pivot_row[:, c]], 0)[:, None], pivot_row]
+        A = add[A, neg[mul[A[:, :, c, None], pivot_row[:, None, :]]]]
+        A[g[has], top[has]] = pivot_row[has]
+        rank += has
+        is_pivot[:, c] = has
+    # group by pivot pattern, read as a bit code; a stable sort, since
+    # np.unique would import numpy.ma
+    code = is_pivot @ (1 << np.arange(n))
+    order = np.argsort(code, kind="stable")
+    cuts = np.flatnonzero(np.diff(code[order])) + 1
+    groups = []
+    for members in np.split(order, cuts):
+        piv = np.flatnonzero(is_pivot[members[0]])
+        nonpiv = np.flatnonzero(~is_pivot[members[0]])
+        f = nonpiv.size
+        K = F.zeros(members.size, f, n)
+        K[:, np.arange(f), nonpiv] = 1
+        K[:, :, piv] = neg[A[members][:, :piv.size, nonpiv]].transpose(0, 2, 1)
+        groups.append((members, np.ascontiguousarray(K[:, ::-1, ::-1])))
+    return groups
 
 
 # Most entries in one block of `scalar_class_images`.

@@ -30,7 +30,9 @@ from fractions import Fraction
 
 from .functors import build_preinjective
 from .gf import (
+    Field,
     _factor_prime_power,
+    batched_kernels,
     enumerate_subspaces,
     field,
     kernel_basis,
@@ -69,6 +71,17 @@ PINNED_SINK_POLYNOMIALS: dict[int, tuple[int, ...]] = {
     5: (26, -37, 22, -7, 1),
     6: (-39, 62, -45, 22, -7, 1),
 }
+
+# Most point entries in one run of kernels of `_kernel_points`.  Wider
+# runs leave the product-set tables of `scalar_class_images` fewer rows
+# per prefix; 2^15 and 2^16 ran the e8tilde counts fastest of 2^12..2^17.
+_POINT_BLOCK_ENTRIES = 1 << 15
+
+# Fewest matrices M_{j,y} at a vertex for which `hall_number_sink_fast`
+# takes their kernels from one `batched_kernels` call rather than one
+# `kernel_basis` each: the batched elimination costs about the same as 8
+# single ones (GF(7), t_j = 2) and more below, less above.
+_BATCH_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -153,6 +166,19 @@ def _check_sink_instance(R: Rep, i: int) -> tuple[int, ...]:
     return delta
 
 
+def _kernel_points(F: Field, K: np.ndarray):
+    """Yield, in blocks of rows, the images c K[g] of every g and every
+    normalized c != 0 in GF(q)^f (first nonzero entry 1), for K of shape
+    (G, f, h) with f >= 1.  Runs of kernels set side by side, each with at
+    most _POINT_BLOCK_ENTRIES point entries or a single kernel, go through
+    one `scalar_class_images` call each."""
+    G, f, h = K.shape
+    step = max(1, _POINT_BLOCK_ENTRIES // (h * (F.q ** f - 1) // (F.q - 1)))
+    for g in range(0, G, step):
+        for block in scalar_class_images(F, K[g:g + step].transpose(1, 0, 2).reshape(f, -1)):
+            yield block.reshape(-1, h)
+
+
 def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     """Count lines L in R_i whose quotient R/L has a one-dimensional
     endomorphism ring; equivalently the Hall number F^R_{I S(i)} where I
@@ -182,13 +208,18 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     y are the images under `scalar_class_images` of the t_j x (h delta_j)
     stack of the pi_j phi_{k,j}; a vertex with t_j = 1 has y = 1 alone.
 
-    `kernel_basis` gives each K_{j,y} as a basis in reduced echelon
-    form.  A combination a K whose first nonzero coefficient a_r is 1
-    then has its first nonzero entry, a 1, at the pivot column of row r,
-    and distinct such a give distinct vectors; so the points that
-    `scalar_class_images` lists for K are the normalized representatives
-    (first nonzero entry 1) of the classes in P(K), each once, and a
-    one-row kernel is its own single point.  A normalized c is marked at
+    Each K_{j,y} comes as a basis in reduced echelon form: from one
+    `kernel_basis` per y at a vertex with fewer than _BATCH_FROM classes
+    y (t_j = 1, and t_j = 2 over GF(q) with q <= 5), else from one
+    `batched_kernels` elimination of every M_{j,y} of the vertex, which
+    groups the kernels by pivot pattern, so by dimension f.  A
+    combination a K whose first nonzero coefficient a_r is 1 then has its
+    first nonzero entry, a 1, at the pivot column of row r, and distinct
+    such a give distinct vectors; so the images a K over the normalized a
+    (first nonzero entry 1) in GF(q)^f, which `_kernel_points` lists for
+    a whole group at once, are the normalized representatives of the
+    classes in P(K), each once.  A one-row kernel is its own single
+    point, and a kernel with f = 0 has none.  A normalized c is marked at
     its base-q code sum_k c_k q^(h-1-k), which is below 2 q^(h-1)
     because its first nonzero entry is 1; the marks count the union.
     """
@@ -214,13 +245,18 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
         # stack[:, k * delta_j + l] = (pi_j phi_{k,j})[:, l], so y stack
         # read as an h x delta_j matrix is M_{j,y}
         stack = np.concatenate([F.matmul(pi[j], phi[j]) for phi in basis], axis=1)
-        rows = stack if stack.shape[0] == 1 else np.concatenate(list(scalar_class_images(F, stack)))
-        for row in rows:
-            K = kernel_basis(F, row.reshape(h, delta[j]).T)
-            if K.shape[0] == 1:
-                marked[K[0] @ codes] = True
-            elif K.shape[0] > 1:
-                for points in scalar_class_images(F, K):
+        ys = stack if stack.shape[0] == 1 else np.concatenate(list(scalar_class_images(F, stack)))
+        mats = ys.reshape(-1, h, delta[j]).transpose(0, 2, 1)
+        if len(mats) < _BATCH_FROM:
+            groups = [kernel_basis(F, M)[None] for M in mats]
+        else:
+            groups = [K for _, K in batched_kernels(F, mats)]
+        for K in groups:
+            f = K.shape[1]
+            if f == 1:
+                marked[K[:, 0] @ codes] = True
+            elif f > 1:
+                for points in _kernel_points(F, K):
                     marked[points @ codes] = True
     return (q ** h - 1) // (q - 1) - int(np.count_nonzero(marked))
 
@@ -251,8 +287,9 @@ def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...]) -> list[tuple[int,
     so it runs once among the samples and again among the held-out fields
     (on e8tilde at q = 4 and at q = 11).
 
-    The family is built once per underlying graph and field, in one base
-    orientation, and each member read is moved to Q by sink reflections:
+    Each field's family is built once per underlying graph, all in one
+    base orientation of the graph, and each member read is moved to Q by
+    sink reflections:
     s_v delta = delta, the reflection keeps End on modules with no simple
     summand S_v, and it commutes with tau on regular modules, so it sends
     homogeneous simples to homogeneous simples.  Every moved module read

@@ -14,11 +14,13 @@ Ringel, LNM 1099, 3.6).  `build_homogeneous_simples` lists the whole
 family in line order, for callers that index into it or count it.
 
 `sink_family` serves the one-sink table, whose rows orient one
-underlying graph toward different sinks.  It scans each family once per
-(underlying graph, field), in the orientation of the first row that asks
-for it, and moves each member a later row reads to that row's
-orientation along a word of sink reflections (`quiver.sink_sequence_to`),
-which exists when the graph is a tree or the double edge.
+underlying graph toward different sinks.  It keeps one base orientation
+per underlying graph, that of the first row to ask for any field, and
+scans each field's family once, in that orientation.  It moves each
+member another row reads to that row's orientation along a word of sink
+reflections (`quiver.sink_sequence_to`), which exists when the graph is a
+tree or the double edge.  So `regular_pair` builds its P and I on one
+quiver for every field.
 The move is sound: s_v delta = delta, since delta is radical; sigma_v^+
 is an equivalence between the modules with no summand S_v on the two
 orientations, so it keeps End; and it commutes with tau on regular
@@ -143,43 +145,43 @@ def build_homogeneous_simples(Q: Quiver, F: Field) -> list[tuple[str, Rep]]:
 
 @dataclass
 class _Family:
-    """One underlying graph's homogeneous family over one field, as far as
-    it has been read: the orientation of the first quiver that asked for
-    it, the scan of that orientation's extension line, and the members the
-    scan has yielded."""
+    """One underlying graph's homogeneous families, as far as they have
+    been read: the orientation of the first quiver that asked for any of
+    them, and per field the scan of that orientation's extension line and
+    the members the scan has yielded."""
 
     base: Quiver | None = None
-    scan: Iterator[tuple[str, Rep]] | None = None
-    members: list[Rep] = field(default_factory=list)
+    scans: dict[Field, tuple[Iterator[tuple[str, Rep]], list[Rep]]] = field(default_factory=dict)
 
 
 @lru_cache(maxsize=None)
-def _graph_family(graph: tuple[int, tuple[tuple[int, int], ...]], F: Field) -> _Family:
+def _graph_family(graph: tuple[int, tuple[tuple[int, int], ...]]) -> _Family:
     return _Family()
 
 
 def sink_family(Q: Quiver, F: Field) -> Iterator[Rep]:
     """The homogeneous simples of the one-sink quiver Q over F, yielded
-    lazily.  The family of Q's underlying graph is scanned once per field,
-    in the orientation of the first quiver that asks for it; a later
-    quiver gets each member moved to it by the sink reflections of
+    lazily.  Q's underlying graph keeps one base orientation, that of the
+    first quiver to ask for a family of it over any field, and each
+    field's family is scanned once, in that orientation.  Another
+    orientation gets each member moved to it by the sink reflections of
     `sink_sequence_to`, in the same order, and a moved member that fails
     `is_simple_homogeneous` on Q raises InternalInconsistencyError.  A
     cycle has no reflection word and raises InvalidInputError."""
     sinks = Q.sinks()
     if len(sinks) != 1:
         raise InvalidInputError("the homogeneous family is moved only between one-sink quivers")
-    family = _graph_family((Q.n, tuple(sorted(Q.underlying_edges()))), F)
+    family = _graph_family((Q.n, tuple(sorted(Q.underlying_edges()))))
     word = sink_sequence_to(family.base or Q, sinks[0])
-    if family.base is None:
-        family.base, family.scan = Q, homogeneous_simples(Q, F)
+    family.base = family.base or Q
+    scan, members = family.scans.setdefault(F, (homogeneous_simples(family.base, F), []))
     for k in count():
-        if k == len(family.members):
-            member = next(family.scan, None)
+        if k == len(members):
+            member = next(scan, None)
             if member is None:
                 return
-            family.members.append(member[1])
-        M = family.members[k]
+            members.append(member[1])
+        M = members[k]
         for v in word:
             M = reflect_plus(M, v)
         if word and not is_simple_homogeneous(M):

@@ -106,6 +106,7 @@ def opposite(Q: Quiver) -> Quiver:
     return Quiver(Q.n, tuple((t, s) for s, t in Q.arrows))
 
 
+@lru_cache(maxsize=None)
 def admissible_sink_order(Q: Quiver) -> tuple[int, ...]:
     """Ordering of the vertices in which each vertex is a sink of the
     subquiver on the vertices not yet taken; ties broken by smallest index.
@@ -114,7 +115,9 @@ def admissible_sink_order(Q: Quiver) -> tuple[int, ...]:
     it, so the arrows among the remaining vertices are still Q's own and
     each vertex is a sink of the reflected quiver at its turn.  Such an
     order exists exactly when Q has no oriented cycle, so the quiver
-    constructor takes its acyclicity check from here.
+    constructor takes its acyclicity check from here.  Cached, as every
+    construction of an equal quiver asks again; a cycle raises on every
+    call, since the cache keeps no exceptions.
     """
     remaining = set(range(Q.n))
     targets = {v: {t for s, t in Q.arrows if s == v} for v in remaining}

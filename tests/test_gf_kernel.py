@@ -1,6 +1,7 @@
 """The list-row `rref`, the rank-based `in_rowspace`, the one-elimination
 `kernel_basis` and the division-free `batched_full_row_rank` against the
-eliminations they replaced, kept here as oracles, `Field.matmul` against
+eliminations they replaced, kept here as oracles, the vectorised
+`batched_kernels` against `kernel_basis`, `Field.matmul` against
 a scalar triple loop, and the product-set `scalar_class_images` against a
 field product over `class_blocks.scalar_class_blocks`, row for row in
 order, with the one-sink count's per-vertex loop it replaced.
@@ -294,6 +295,56 @@ def test_batched_full_row_rank_matches_gauss_jordan_oracle(case):
     assert np.array_equal(batched_full_row_rank(F, frozen), mask)
 
 
+def _stack_of_ranks(F, rng, r, n):
+    """Matrices r x n over F: the zero matrix, then for each k up to
+    min(r, n) a product of a random r x k and a random k x n matrix (rank
+    at most k, mostly k), one with a row of zeros and one with a repeated
+    row; the entries are labels."""
+    mats = [F.zeros(r, n)]
+    for k in range(1, min(r, n) + 1):
+        for _ in range(3):
+            mats.append(F.matmul(rng.integers(0, F.q, (r, k)), rng.integers(0, F.q, (k, n))))
+        full = rng.integers(0, F.q, (r, n))
+        if r > 1:
+            full[rng.integers(r)] = 0
+            mats.append(full.copy())
+            full[0] = full[-1]
+        mats.append(full)
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9, 13))
+def test_batched_kernels_match_kernel_basis_matrix_by_matrix(q):
+    F, rng = field(q), np.random.default_rng(q)
+    for n in range(1, 6):
+        dims = set()
+        for r in range(0, 8):
+            A = _stack_of_ranks(F, rng, r, n)
+            for stack in (A, A[:1], A[-1:]):
+                before = stack.copy()
+                groups = gf.batched_kernels(F, stack)
+                assert np.array_equal(stack, before)
+                seen = np.sort(np.concatenate([idx for idx, _ in groups]))
+                assert seen.tolist() == list(range(stack.shape[0]))
+                for idx, K in groups:
+                    assert K.shape == (idx.size, K.shape[1], n)
+                    dims.add(K.shape[1])
+                    for g, m in enumerate(idx):
+                        assert np.array_equal(K[g], kernel_basis(F, stack[m]))
+        # every kernel dimension f from 0 (full column rank) to n (zero)
+        assert dims == set(range(n + 1))
+
+
+def test_batched_kernels_read_a_read_only_view():
+    F = field(5)
+    A = _stack_of_ranks(F, np.random.default_rng(0), 4, 3)
+    frozen = A.copy()
+    frozen.setflags(write=False)
+    got = gf.batched_kernels(F, frozen)
+    assert all(np.array_equal(K, other)
+               for (_, K), (_, other) in zip(got, gf.batched_kernels(F, A), strict=True))
+
+
 def _matmul_oracle(F, A, B):
     """Sum over k of A[i, k] * B[k, j], one scalar field operation at a time."""
     out = F.zeros(A.shape[0], B.shape[1])
@@ -400,11 +451,12 @@ def _per_vertex_count(R, I):
 
 @pytest.mark.parametrize("q", (8, 9))
 def test_sink_count_matches_the_per_vertex_loop_in_small_blocks(q, monkeypatch):
-    """e8tilde m = 5 (h = 5): with the block cap at 2,048 entries, the
-    points of a kernel K_{j,y} of the complement count (rows of length 5)
-    come in blocks of at most 409 rows, a product-set table of 64 or 81
-    rows plus one prefix each, so a kernel of four rows lists the points
-    led by its first row as several prefixes of one table."""
+    """e8tilde m = 5 (h = 5): with both block caps at 2,048 entries, the
+    points of the kernels K_{j,y} of the complement count (rows of length
+    5) are listed one kernel at a time once a kernel has more than 204
+    points, in blocks of at most 409 rows, a product-set table of 64 or
+    81 rows plus one prefix each; so a kernel of four rows, with 585
+    (q = 8) or 820 (q = 9) points, lists them in several blocks."""
     Q = preset_quiver("e8tilde")
     i = radical_delta(Q).index(5)
     Qi, F = reorient_toward(Q, i), field(q)
@@ -412,14 +464,16 @@ def test_sink_count_matches_the_per_vertex_loop_in_small_blocks(q, monkeypatch):
     I = build_preinjective(Qi, F, _minus_unit(radical_delta(Qi), i))
     whole = hall_number_sink_fast(R, i, I)
     monkeypatch.setattr(gf, "_IMAGE_BLOCK_ENTRIES", 2048)
-    split = []  # (rows, blocks) of every kernel whose points were listed
+    monkeypatch.setattr(hall, "_POINT_BLOCK_ENTRIES", 2048)
+    split = []  # (kernels, blocks) of every group whose points were listed
+    real = hall._kernel_points
 
-    def counting(F, S):
-        blocks = list(scalar_class_images(F, S))
-        if S.shape[1] == 5:
-            split.append((S.shape[0], len(blocks)))
+    def counting(F, K):
+        blocks = list(real(F, K))
+        assert all(block.size <= 2048 for block in blocks)
+        split.append((K.shape[0], len(blocks)))
         yield from blocks
 
-    monkeypatch.setattr(hall, "scalar_class_images", counting)
+    monkeypatch.setattr(hall, "_kernel_points", counting)
     assert hall_number_sink_fast(R, i, I) == whole == _per_vertex_count(R, I)
-    assert any(blocks > rows for rows, blocks in split)
+    assert any(blocks > kernels for kernels, blocks in split)

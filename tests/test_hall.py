@@ -466,6 +466,8 @@ def test_hall_table_builds_one_family_per_field(monkeypatch):
     assert not table_mismatches(rows)
     assert sum(len(r.poly.samples) + len(r.poly.verified_at) for r in rows) == 18
     assert sorted(q for _, q in calls) == [3, 4, 5, 7, 11, 13]
+    # every field's family is scanned in one base orientation of the graph
+    assert len({Q for Q, _ in calls}) == 1
 
 
 def test_sample_counts_cross_check_compares_two_modules(monkeypatch):

@@ -56,6 +56,14 @@ def test_quiver_rejects_oriented_cycle():
     assert e.value.code == "cycle"
 
 
+def test_cached_sink_order_still_rejects_a_cycle_on_every_build():
+    # the cache keeps no exceptions: an equal cyclic quiver raises again
+    for _ in range(2):
+        with pytest.raises(QuiverStructureError) as e:
+            Quiver(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+        assert e.value.code == "cycle"
+
+
 def test_quiver_rejects_disconnected():
     with pytest.raises(QuiverStructureError) as e:
         Quiver(4, ((0, 1), (2, 3)))

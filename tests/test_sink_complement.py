@@ -8,6 +8,9 @@ scan's batched rank test is left to the oracle: inside the package only
 
 import ast
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -51,18 +54,30 @@ def test_complement_count_matches_the_class_scan(name, q):
 def test_complement_count_matches_the_class_scan_on_e8tilde_at_q9(monkeypatch):
     """Up to m = 6, where the scan lists 66,430 classes and the kernels
     have up to five rows; every kernel size the count branches on, zero,
-    one and several rows, occurs."""
-    original, sizes = hall.kernel_basis, Counter()
+    one and several rows, occurs.  Both sources of kernels run: single
+    ones at t_j = 1, and groups of the batched elimination at t_j >= 2,
+    where GF(9) gives 10 or 91 classes y (the only source of empty
+    kernels here)."""
+    single, batched = Counter(), Counter()
 
-    def recording(F, M):
-        K = original(F, M)
-        sizes[min(K.shape[0], 2)] += 1
-        return K
+    def recording(real, sizes, dims):
+        def wrapped(F, M):
+            out = real(F, M)
+            for f in dims(out):
+                sizes[min(f, 2)] += 1
+            return out
+        return wrapped
 
-    monkeypatch.setattr(hall, "kernel_basis", recording)
+    monkeypatch.setattr(hall, "kernel_basis",
+                        recording(hall.kernel_basis, single, lambda K: [K.shape[0]]))
+    monkeypatch.setattr(hall, "batched_kernels",
+                        recording(hall.batched_kernels, batched,
+                                  lambda groups: [K.shape[1] for _, K in groups]))
     for R, i, I in _instances("e8tilde", 9):
         assert hall.hall_number_sink_fast(R, i, I) == sink_count_by_classes(R, I)
+    sizes = single + batched
     assert sizes[0] and sizes[1] and sizes[2]
+    assert single and batched
 
 
 def _names(tree, name):
@@ -85,3 +100,27 @@ def test_batched_rank_test_has_no_caller_in_the_package():
     naming = {stem for stem, nodes in found.items() if nodes}
     assert naming == {"gf"}
     assert [type(node) for node in found["gf"]] == [ast.FunctionDef]
+
+
+_TABLE_IMPORTS = """
+import contextlib, io, sys
+from tamehall import cli, hall
+calls = []
+real = hall.batched_kernels
+hall.batched_kernels = lambda F, mats: calls.append(len(mats)) or real(F, mats)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["hall-table", "--preset", "e7tilde", "--format", "json"])
+print(rc, bool(calls), "numpy.ma" in sys.modules)
+"""
+
+
+def test_batched_count_leaves_numpy_ma_unimported():
+    """`np.unique` imports numpy.ma lazily, about half a MiB of resident
+    memory; the batched elimination groups its kernels without it.  A
+    fresh interpreter runs the e7tilde table, which takes the batched
+    path, and numpy.ma must not be loaded at the end."""
+    src = str(Path(tamehall.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _TABLE_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 True False\n"
