@@ -13,7 +13,9 @@ where per-call numpy overhead would dominate on the tiny or sparse systems
 it sees, in two loops, one per input form: `rref`, which `rank`,
 `kernel_basis` and `in_rowspace` go through, over dense row lists, and
 `eliminate` over sparse rows {column: label}, the form of the Hom and Ext
-systems.
+systems.  A third elimination, `rational_rref`, runs over Q on Fractions,
+for the library's integer systems: the Cartan matrix whose kernel is
+delta, and the Vandermonde system of an interpolant.
 
 Matrices are plain numpy int64 arrays.  Subspaces of k^n are stored as
 matrices whose rows form a basis in reduced row echelon form; that form is
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -353,6 +356,31 @@ def back_substitute(F: Field, basis: dict[int, dict[int, int]]) -> None:
         b = basis[p]
         for c in [c for c in b if c != p and c in basis]:
             subtract(b, b[c], basis[c], None)
+
+
+def rational_rref(rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form over Q and pivot columns, for rows of
+    integers or Fractions, never writing to them.  Returns the nonzero
+    rows of the reduced form, as Fractions.  Deterministic: the pivot in
+    each column is the first eligible row, as in `rref`.  Its systems
+    are small: one row per vertex of a quiver or per sampled field."""
+    R = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(R[0]) if R else 0):
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        row = [x / R[pr][c] for x in R[pr]]
+        R[pr] = R[r]
+        R[r] = row
+        for i, Ri in enumerate(R):
+            f = Ri[c]
+            if f and i != r:
+                R[i] = [x - f * y for x, y in zip(Ri, row)]
+        pivots.append(c)
+        r += 1
+    return R[:r], tuple(pivots)
 
 
 def rank(F: Field, M: np.ndarray) -> int:

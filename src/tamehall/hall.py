@@ -13,7 +13,9 @@ the kernel of a small linear map, and it marks the points of those
 kernels instead of testing every class.
 
 Counts sampled over several fields are interpolated into exact integer
-polynomials in q, with held-out fields used for verification.
+polynomials in q, with held-out fields used for verification: one
+`sample_counts` pass gives a polynomial its samples and its held-out
+counts, and `gf.rational_rref` solves the Vandermonde system over Q.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,6 @@ from .errors import (
     InvalidInputError,
     VerificationError,
 )
-from fractions import Fraction
-
 from .functors import build_preinjective
 from .gf import (
     Field,
@@ -36,6 +36,7 @@ from .gf import (
     enumerate_subspaces,
     field,
     kernel_basis,
+    rational_rref,
     scalar_class_images,
 )
 # Kept bound although unused: bench/test_bench_tracer.py expects hall and gr to share it.
@@ -280,12 +281,14 @@ def hall_number_sink_lines(R: Rep, i: int) -> int:
 
 def sample_counts(Q: Quiver, i: int, fields: tuple[int, ...]) -> list[tuple[int, int]]:
     """One-sink counts over the given fields, one homogeneous module per
-    field (the first that `homreg.sink_family` yields).  At the smallest
-    of the given fields that carries a second homogeneous module, the
-    count is recomputed there and must agree; the count does not depend
-    on the module.  The check runs once per call: `hall_poly_f` makes two,
-    so it runs once among the samples and again among the held-out fields
-    (on e8tilde at q = 4 and at q = 11).
+    field (the first that `homreg.sink_family` yields).  At the first of
+    the given fields that carries a second homogeneous module, the count
+    is recomputed there and must agree; the count does not depend on the
+    module.  The check runs once per call, and `hall_poly_f` makes one
+    call per polynomial.  Once is enough: a second field would test the
+    same claim again, the held-out counts verify the interpolant either
+    way, and `tests/test_sink_complement.py` and `tests/test_homreg.py`
+    compare both modules on every sink row.
 
     Each field's family is built once per underlying graph, all in one
     base orientation of the graph, and each member read is moved to Q by
@@ -340,22 +343,12 @@ def interpolate(points, degree_cap: int, verification=()) -> HallPolynomial:
     if len(pts) < degree_cap + 1:
         raise InvalidInputError(
             f"need at least {degree_cap + 1} samples for degree {degree_cap}")
-    coeffs = [Fraction(0)] * len(pts)
-    for k, (xk, yk) in enumerate(pts):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == k:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xj
-                new[d + 1] += c
-            basis = new
-            denom *= xk - xj
-        scale = Fraction(yk) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
+    # the Vandermonde system sum_d c_d x^d = y, one row [1, x, .., x^(n-1), y]
+    # per point; distinct x make it invertible, so row d of its reduced form
+    # ends in c_d
+    n = len(pts)
+    R, _ = rational_rref([[x ** d for d in range(n)] + [y] for x, y in pts])
+    coeffs = [row[n] for row in R]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if any(c.denominator != 1 for c in coeffs):
@@ -375,18 +368,17 @@ def interpolate(points, degree_cap: int, verification=()) -> HallPolynomial:
 
 def hall_poly_f(Q: Quiver, i: int) -> HallPolynomial:
     """The count polynomial f_m for a one-sink quiver with sink i, where
-    m is the sink entry of delta.  Samples m fields, interpolates with
-    degree cap m - 1, verifies on one or two held-out fields, and
-    asserts the observed monic-of-degree-(m-1) shape.  The samples and
-    the held-out fields are two `sample_counts` calls, so the count is
-    cross-checked on a second homogeneous module in each of them."""
-    delta = _sink_delta(Q, i)
-    m = delta[i]
-    sample_fields = SAMPLE_FIELDS[:m]
-    pts = sample_counts(Q, i, sample_fields)
+    m is the sink entry of delta.  One `sample_counts` pass over m sample
+    fields and one or two held-out fields; interpolates through the
+    samples with degree cap m - 1, verifies at the held-out fields, and
+    asserts the observed monic-of-degree-(m-1) shape.  The pass
+    cross-checks the count on a second homogeneous module once per
+    polynomial: at q = 3 on the Kronecker quiver, and on the D~ and E~
+    quivers at q = 4 when m >= 2 and at q = 11 when m = 1."""
+    m = _sink_delta(Q, i)[i]
     verify_fields = (VERIFY_FIELD,) + ((VERIFY_FIELD_EXTRA,) if m <= 4 else ())
-    verification = sample_counts(Q, i, verify_fields)
-    poly = interpolate(pts, m - 1, verification)
+    counts = sample_counts(Q, i, SAMPLE_FIELDS[:m] + verify_fields)
+    poly = interpolate(counts[:m], m - 1, counts[m:])
     if len(poly.coeffs) != m or poly.coeffs[-1] != 1:
         raise VerificationError(
             f"expected a monic polynomial of degree {m - 1}, got {poly.coeffs}")
@@ -465,10 +457,7 @@ def gr_form_check(f, m: int) -> int | None:
     while len(trimmed) > 1 and trimmed[-1] == 0:
         trimmed.pop()
     for s in range(m):
-        cand = [0] * m
-        for k in range(s, m):
-            cand[k] = 1
-        if trimmed == cand[:len(trimmed)] and all(c == 0 for c in cand[len(trimmed):]):
+        if trimmed == [0] * s + [1] * (m - s):
             return s
     return None
 

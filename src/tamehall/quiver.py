@@ -10,9 +10,8 @@ cached per quiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .errors import (
     QuiverStructureError,
     QuiverSyntaxError,
 )
+from .gf import rational_rref
 
 DimVector = tuple[int, ...]
 
@@ -247,45 +247,23 @@ def radical_delta(Q: Quiver) -> DimVector:
 
 @lru_cache(maxsize=None)
 def _graph_radical(n: int, edges: tuple[tuple[int, int], ...]) -> DimVector:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(2)
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for s, t in edges:
         rows[s][t] -= 1
         rows[t][s] -= 1
-    # rational kernel by Gaussian elimination
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
+    R, pivots = rational_rref(rows)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise InvalidInputError(
             f"quiver is not affine (radical dimension {len(free)})")
     f = free[0]
-    vec = [Fraction(0)] * n
-    vec[f] = Fraction(1)
-    for i, c in enumerate(pivots):
-        vec[c] = -mat[i][f]
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    vec = [0] * n
+    vec[f] = 1
+    for row, c in zip(R, pivots):
+        vec[c] = -row[f]
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     if all(x <= 0 for x in ints):
         ints = [-x for x in ints]

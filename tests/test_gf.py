@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tamehall
 from tamehall.errors import InfeasibleEnumerationError, InvalidInputError
@@ -25,6 +28,7 @@ from tamehall.gf import (
     kernel_basis,
     quotient_map,
     rank,
+    rational_rref,
     rref,
 )
 
@@ -337,3 +341,38 @@ def test_batched_full_row_rank_matches_scalar_rank(q):
         mask = batched_full_row_rank(F, batch)
         for i, m in enumerate(group):
             assert mask[i] == (rank(F, np.array(m)) == r)
+
+
+@st.composite
+def _integer_rows(draw):
+    """Integer matrices up to 6 x 8 with entries -3..3 as row lists, some
+    rows and columns set to zero; no rows, or rows of width 0, included."""
+    r = draw(st.integers(0, 6))
+    c = draw(st.integers(0, 8))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=c, max_size=c)) for _ in range(r)]
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=r))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_integer_rows())
+def test_rational_rref_is_the_reduced_form_of_its_input(rows):
+    before = copy.deepcopy(rows)
+    R, piv = rational_rref(rows)
+    assert rows == before
+    # reduced echelon form: nonzero rows, pivots increasing, each pivot 1,
+    # zeros left of it and above and below it
+    assert len(R) == len(piv)
+    assert list(piv) == sorted(set(piv))
+    for k, (row, c) in enumerate(zip(R, piv)):
+        assert len(row) == len(rows[0])
+        assert row[c] == 1 and not any(row[:c])
+        assert all(R[j][c] == 0 for j in range(len(R)) if j != k)
+    # the rank over Q, and every input row lies in the span of R
+    if rows and rows[0]:
+        assert len(R) == np.linalg.matrix_rank(np.array(rows, dtype=float))
+    for row in rows:
+        R2, piv2 = rational_rref(R + [row])
+        assert piv2 == piv and R2 == R

@@ -1,7 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamehall import hall, homreg
 from tamehall.errors import (
@@ -14,6 +17,7 @@ from tamehall.gf import field, rank
 from tamehall.hall import (
     HallPolynomial,
     PINNED_SINK_POLYNOMIALS,
+    SAMPLE_FIELDS,
     HallTableRow,
     gr_form_check,
     hall_number,
@@ -241,6 +245,64 @@ def test_interpolate_rejects_bad_samples():
         interpolate([(3, 0), (3, 1)], 1)
     with pytest.raises(InvalidInputError):
         interpolate([(3, 0)], 1)
+
+
+def lagrange_coefficients(points):
+    """The Lagrange loop that `interpolate` ran before it solved the
+    Vandermonde system, kept as its oracle: the coefficients, lowest
+    degree first and trailing zeros trimmed, of the polynomial of degree
+    below len(points) through the points."""
+    coeffs = [Fraction(0)] * len(points)
+    for k, (xk, yk) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == k:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                new[d] -= c * xj
+                new[d + 1] += c
+            basis = new
+            denom *= xk - xj
+        scale = Fraction(yk) / denom
+        for d, c in enumerate(basis):
+            coeffs[d] += c * scale
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+INTERPOLATION = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@INTERPOLATION
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.booleans())
+def test_interpolate_recovers_integer_polynomials_like_lagrange(coeffs, every_field):
+    # values of a polynomial of degree <= 5 at the first deg + 1 sample
+    # fields, or at all six
+    n = len(SAMPLE_FIELDS) if every_field else len(coeffs)
+    pts = [(q, sum(c * q ** d for d, c in enumerate(coeffs))) for q in SAMPLE_FIELDS[:n]]
+    p = interpolate(pts, len(coeffs) - 1)
+    expected = list(coeffs)
+    while len(expected) > 1 and expected[-1] == 0:
+        expected.pop()
+    assert list(p.coeffs) == expected == lagrange_coefficients(pts)
+    assert p.samples == tuple(pts)
+
+
+@INTERPOLATION
+@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=6), st.data())
+def test_interpolate_agrees_with_lagrange_on_arbitrary_counts(values, data):
+    # arbitrary counts: the interpolant may have fractions or a high degree
+    pts = list(zip(SAMPLE_FIELDS, values))
+    cap = data.draw(st.integers(0, len(pts) - 1))
+    oracle = lagrange_coefficients(pts)
+    if any(c.denominator != 1 for c in oracle) or len(oracle) - 1 > cap:
+        with pytest.raises(VerificationError):
+            interpolate(pts, cap)
+    else:
+        assert list(interpolate(pts, cap).coeffs) == oracle
 
 
 # -------------------------------------------------------- polynomial builds
@@ -484,3 +546,45 @@ def test_sample_counts_cross_check_compares_two_modules(monkeypatch):
     fam = build_homogeneous_simples(D4, field(4))
     assert len(seen) == 2
     assert all(reps_equal(R, M) for R, (_, M) in zip(seen, fam))
+
+
+@pytest.mark.parametrize("name, counts, checked_at", [
+    ("kronecker", 4, [[3]]),
+    ("dtilde:4", 9, [[11], [4]]),
+    ("e7tilde", 22, [[11], [4], [4], [4]]),
+])
+def test_hall_table_cross_checks_each_polynomial_once(monkeypatch, name, counts, checked_at):
+    real = hall.hall_number_sink_fast
+    fields = []
+    monkeypatch.setattr(hall, "hall_number_sink_fast",
+                        lambda R, i, I: fields.append(R.field.q) or real(R, i, I))
+    # a progress call opens each row
+    rows = hall_table(preset_quiver(name), progress=lambda _: fields.append(None))
+    assert not table_mismatches(rows)
+    # one count per sample and per held-out field, and one cross-check
+    assert len(fields) - len(rows) == counts == sum(
+        len(r.poly.samples) + len(r.poly.verified_at) + 1 for r in rows)
+    per_row = [[]]
+    for q in fields[1:]:
+        if q is None:
+            per_row.append([])
+        else:
+            per_row[-1].append(q)
+    assert [[q for q in set(row) if row.count(q) == 2] for row in per_row] == checked_at
+
+
+def test_hall_poly_f_cross_check_compares_two_modules(monkeypatch):
+    # the count is right on each field's first module and off by one on
+    # any other, so only the module cross-check can see it
+    real = hall.hall_number_sink_fast
+    first = {}
+
+    def fake_count(R, i, I):
+        count = real(R, i, I)
+        return count if first.setdefault(R.field.q, R) is R else count + 1
+
+    monkeypatch.setattr(hall, "hall_number_sink_fast", fake_count)
+    with pytest.raises(VerificationError, match="depends on the homogeneous module"):
+        hall_poly_f(D4, D4_SINK)
+    # GF(3) carries one homogeneous module on D~4, GF(4) two
+    assert sorted(first) == [3, 4]
