@@ -202,8 +202,12 @@ def _uses_root_engine(M: Rep) -> bool:
 
 # -- exhaustive engine --------------------------------------------------
 
-# signature -> [module, measure, smallest budget it was computed under],
-# one entry per isomorphism class
+# key -> [module, measure, smallest budget it was computed under], one
+# entry per isomorphism class.  A brick whose dimension vector x has
+# <x, x> = 1 is rigid, so x alone names its class: its key is (Q, q, x),
+# with one entry and no isomorphism test.  Every other module is keyed by
+# its `_probe_signature`, and its class is found among the entries there
+# by `is_isomorphic`.
 _REP_MEMO: dict = {}
 
 
@@ -291,23 +295,29 @@ def is_indecomposable(M: Rep, budget: int = DEFAULT_BUDGET) -> bool:
     return _local_radical(M, budget)[1] is not None
 
 
-def _rep_measure(M: Rep, budget: int, witnesses: list | None = None) -> Measure:
+def _rep_measure(M: Rep, budget: int, witnesses: list | None = None,
+                 local: tuple[int, int | None] | None = None) -> Measure:
     """The measure of M on the exhaustive engine: from the memo, which
-    keeps one module per isomorphism class under its `_probe_signature`,
-    or else from one scan of the indecomposable proper submodules of M,
-    whose measures this computes in turn, and stored.  With a list
-    `witnesses`, append the row bases of every indecomposable submodule
-    whose measure extends to M's.  A decomposable M has a measure that
-    stops short of its length, so it has none, and a memo hit scans
-    nothing for it.
+    keeps one module per isomorphism class (see `_REP_MEMO` for its two
+    kinds of key), or else from one scan of the indecomposable proper
+    submodules of M, whose measures this computes in turn, and stored.
+    With a list `witnesses`, append the row bases of every indecomposable
+    submodule whose measure extends to M's.  A decomposable M has a
+    measure that stops short of its length, so it has none, and a memo hit
+    scans nothing for it.  `local` is `_local_radical(M)` when the caller
+    has it, as the submodule scan does; else End(M) is computed here only
+    when <dim M, dim M> = 1 asks whether M is a brick.
 
     An entry also keeps the smallest budget its measure was computed
     under, and serves only a budget at least that large.  A smaller one
     computes afresh: refusal grows as the budget falls, so a call refuses
     exactly when it would in a fresh process."""
     n = sum(M.dims)
-    sig = _probe_signature(M)
-    entry = next((e for e in _REP_MEMO.get(sig, ()) if is_isomorphic(e[0], M, budget)), None)
+    Q = M.quiver
+    rigid = tits_form(Q, M.dims) == 1 and (end_dim(M) if local is None else local[0]) == 1
+    key = (Q, M.field.q, M.dims) if rigid else _probe_signature(M)
+    entries = _REP_MEMO.get(key, ())
+    entry = next((e for e in entries if rigid or is_isomorphic(e[0], M, budget)), None)
     measure = entry[1] if entry is not None and entry[2] <= budget else None
     if measure is not None and (witnesses is None or measure[-1] != n):
         return measure
@@ -316,11 +326,12 @@ def _rep_measure(M: Rep, budget: int, witnesses: list | None = None) -> Measure:
         d = sum(U.shape[0] for U in spaces)
         if 0 < d < n:
             U = sub_rep(M, spaces)
-            if is_indecomposable(U, budget):
-                subs.append((spaces, _rep_measure(U, budget)))
+            local_U = _local_radical(U, budget)
+            if local_U[1] is not None:
+                subs.append((spaces, _rep_measure(U, budget, local=local_U)))
     if measure is None:
         best = max_measure(m for _, m in subs) if subs else ()
-        if is_indecomposable(M, budget):
+        if rigid or (local or _local_radical(M, budget))[1] is not None:
             measure = best + (n,)
         elif not best:
             raise InternalInconsistencyError(
@@ -328,7 +339,7 @@ def _rep_measure(M: Rep, budget: int, witnesses: list | None = None) -> Measure:
         else:
             measure = best
         if entry is None:
-            _REP_MEMO.setdefault(sig, []).append([M, measure, budget])
+            _REP_MEMO.setdefault(key, []).append([M, measure, budget])
         else:
             entry[2] = budget
     if witnesses is not None:

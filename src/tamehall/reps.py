@@ -21,7 +21,7 @@ from .errors import (
 )
 from .gf import (Field, back_substitute, eliminate, enumerate_subspaces, gaussian_binomial,
                  quotient_map, rank, rref, scalar_class_images)
-from .quiver import Quiver, admissible_sink_order, euler_form, opposite
+from .quiver import Quiver, admissible_sink_order, euler_form, opposite, tits_form
 
 
 @dataclass(eq=False)
@@ -256,17 +256,22 @@ def is_injective_morphism(F: Field, M: Rep, phi: tuple[np.ndarray, ...]) -> bool
     return all(rank(F, phi[j]) == d for j, d in enumerate(M.dims) if d)
 
 
+def _check_scan_budget(q: int, h: int, budget: int) -> None:
+    """Refuse a scan over the (q^h - 1)/(q - 1) scalar classes of an
+    h-dimensional space when they exceed the budget."""
+    classes = (q ** h - 1) // (q - 1)
+    if classes > budget:
+        raise InfeasibleEnumerationError(
+            f"monomorphism scan over about {classes} classes", needed=classes, budget=budget)
+
+
 def injective_classes(F: Field, X: Rep, basis: list[tuple[np.ndarray, ...]],
                       budget: int = DEFAULT_BUDGET):
     """Yield phi for every scalar class of combinations of the Hom(X, -)
     basis that is injective at every vertex, one class at a time, as the
     per-vertex slices of the rows of `scalar_class_images` on the flattened
     basis, in its class order.  The budget is checked before any work."""
-    h = len(basis)
-    classes = (F.q ** h - 1) // (F.q - 1)
-    if classes > budget:
-        raise InfeasibleEnumerationError(
-            f"monomorphism scan over about {classes} classes", needed=classes, budget=budget)
+    _check_scan_budget(F.q, len(basis), budget)
     if not basis:
         return
     shapes = [U.shape for U in basis[0]]
@@ -508,14 +513,47 @@ def enumerate_subreps(M: Rep, budget: int = DEFAULT_BUDGET, dims=None):
 
 
 def is_isomorphic(M: Rep, N: Rep, budget: int = DEFAULT_BUDGET) -> bool:
-    """Exact isomorphism test: scan the scalar classes of Hom(M, N) for one
-    that is invertible at every vertex."""
+    """Exact isomorphism test.  Rigid modules are decided by their
+    dimension vector; the rest by a scan of the scalar classes of
+    Hom(M, N) for one that is invertible at every vertex.
+
+    Let x = dim M = dim N and t = <x, x>.  When t >= 1 the test first
+    compares e = dim End(M) with dim End(N): End dimension is an
+    isomorphism invariant, so unequal ones answer False.  When e = t, M
+    and N are both rigid and so isomorphic.  Proof, on any acyclic quiver:
+    - the path algebra is hereditary, so <x, x> = dim End X - dim Ext^1(X, X)
+      for every X of dimension x, and e = t says Ext^1(X, X) = 0;
+    - Hom and Ext are kernels and cokernels of matrices over GF(q), so
+      both dimensions are the same after extending scalars to the algebraic
+      closure K.  There the orbit of X in the irreducible affine space
+      Rep(Q, x) has codimension dim Ext^1(X, X) (Voigt's lemma), so the
+      orbit of a rigid module is open, and two nonempty open sets of an
+      irreducible space meet: M and N are isomorphic over K;
+    - modules over a finite-dimensional algebra that become isomorphic
+      after a field extension were isomorphic before (Noether-Deuring).
+    Sources: Kac, Invent. Math. 56 (1980); Crawley-Boevey, Lectures on
+    representations of quivers (1992), section 4.
+
+    A rigid pair is refused exactly when the scan would refuse it: then
+    hom(M, N) = hom(N, M) = e and the scan runs over (q^e - 1)/(q - 1)
+    classes, so that count is checked against the budget before True.
+    Unequal End dimensions with t >= 1 answer False with no scan, so
+    they are never refused.  Every other pair runs the scan, refused as
+    `injective_classes` refuses."""
     if M.quiver != N.quiver or M.field != N.field:
         return False
     if M.dims != N.dims:
         return False
     if M.total_dim == 0:
         return True
+    t = tits_form(M.quiver, M.dims)
+    if t >= 1:
+        e = end_dim(M)
+        if e != end_dim(N):
+            return False
+        if e == t:
+            _check_scan_budget(M.field.q, e, budget)
+            return True
     basis = hom_basis(M, N)
     if not basis or hom_dim(N, M) != len(basis):
         return False

@@ -3,7 +3,8 @@ references they are compared with.
 
 `count_copies` is the count that `gr._count_copies` replaced: every subrep
 of Y of dimension dim X, walked on Y itself from the sinks, tested for
-isomorphism with X.
+isomorphism with X by the scan alone (`rep_helpers.is_isomorphic_by_scan`),
+so that the rigid rule of `reps.is_isomorphic` is not its own oracle.
 
 `sink_count_by_classes` is the one-sink count that
 `hall.hall_number_sink_fast` replaced: it lists every scalar class c of
@@ -16,13 +17,15 @@ on the classes still alive where t_j >= 2."""
 import numpy as np
 
 from tamehall.gf import batched_full_row_rank, scalar_class_images
-from tamehall.reps import enumerate_subreps, hom_basis, is_isomorphic, sub_rep, top_projection
+from tamehall.reps import enumerate_subreps, hom_basis, sub_rep, top_projection
+
+from rep_helpers import is_isomorphic_by_scan
 
 
 def count_copies(X, Y, budget=2_000_000):
     u = 0
     for spaces in enumerate_subreps(Y, budget=budget, dims=X.dims):
-        if is_isomorphic(sub_rep(Y, spaces), X, budget):
+        if is_isomorphic_by_scan(sub_rep(Y, spaces), X, budget):
             u += 1
     return u
 

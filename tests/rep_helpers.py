@@ -1,13 +1,15 @@
 """Small constructions and comparisons the tests use and the package does
 not: random orientations of the presets, unit dimension vectors, the zero
-module, structural equality of modules, and whether per-vertex subspaces
-form a submodule."""
+module, structural equality of modules, whether per-vertex subspaces form
+a submodule, and the isomorphism test by scan alone, the oracle of
+`reps.is_isomorphic`."""
 
 import numpy as np
 
+from tamehall.errors import DEFAULT_BUDGET
 from tamehall.gf import in_rowspace
 from tamehall.quiver import Quiver, preset_quiver
-from tamehall.reps import Rep
+from tamehall.reps import Rep, hom_basis, injective_classes
 
 
 def random_orientation(name, rng):
@@ -40,3 +42,17 @@ def is_subrep(M, spaces):
     F = M.field
     return all(in_rowspace(F, spaces[t], F.matmul(M.mats[a], spaces[s].T).T)
                for a, (s, t) in enumerate(M.quiver.arrows) if spaces[s].shape[0])
+
+
+def is_isomorphic_by_scan(M, N, budget=DEFAULT_BUDGET):
+    """The isomorphism test with no rigid rule: the Hom bases both ways,
+    then a scan of the scalar classes of Hom(M, N) for one invertible at
+    every vertex, refused as `injective_classes` refuses."""
+    if M.quiver != N.quiver or M.field != N.field or M.dims != N.dims:
+        return False
+    if M.total_dim == 0:
+        return True
+    basis = hom_basis(M, N)
+    if not basis or len(hom_basis(N, M)) != len(basis):
+        return False
+    return next(injective_classes(M.field, M, basis, budget), None) is not None
