@@ -202,30 +202,10 @@ def _uses_root_engine(M: Rep) -> bool:
 
 # -- exhaustive engine --------------------------------------------------
 
-# key -> [module, measure, smallest budget it was computed under], one
-# entry per isomorphism class.  A brick whose dimension vector x has
-# <x, x> = 1 is rigid, so x alone names its class: its key is (Q, q, x),
-# with one entry and no isomorphism test.  Every other module is keyed by
-# its `_probe_signature`, and its class is found among the entries there
-# by `is_isomorphic`.
+# (Q, q, dim M) -> [module, measure, smallest budget it was computed
+# under] per isomorphism class of that dimension vector, found by
+# `is_isomorphic`.
 _REP_MEMO: dict = {}
-
-
-def _probe_signature(M: Rep):
-    """(Q, q, dim M, hom(S_i, M) per i, hom(M, S_i) per i), an isomorphism
-    invariant read off ranks.  With no loops, a map S_i -> M is a vector
-    x in M_i with M_a x = 0 for every arrow a out of i (S_i is zero at the
-    target), so hom(S_i, M) = n_i - rank of those maps stacked.  A map
-    M -> S_i is a functional on M_i killing M_a y for every arrow a into i,
-    so hom(M, S_i) = n_i - rank of those maps side by side."""
-    Q, F = M.quiver, M.field
-    ins, outs = [], []
-    for i, n_i in enumerate(M.dims):
-        out_maps = [M.mats[a] for a in Q.outgoing(i)]
-        in_maps = [M.mats[a] for a in Q.incoming(i)]
-        ins.append(n_i - rank(F, np.vstack([F.zeros(0, n_i)] + out_maps)))
-        outs.append(n_i - rank(F, np.hstack([F.zeros(n_i, 0)] + in_maps)))
-    return (Q, F.q, M.dims, tuple(ins), tuple(outs))
 
 
 def _singular_power(F: Field, X: Rep, basis: list, budget: int) -> int | None:
@@ -298,26 +278,21 @@ def is_indecomposable(M: Rep, budget: int = DEFAULT_BUDGET) -> bool:
 def _rep_measure(M: Rep, budget: int, witnesses: list | None = None,
                  local: tuple[int, int | None] | None = None) -> Measure:
     """The measure of M on the exhaustive engine: from the memo, which
-    keeps one module per isomorphism class (see `_REP_MEMO` for its two
-    kinds of key), or else from one scan of the indecomposable proper
-    submodules of M, whose measures this computes in turn, and stored.
-    With a list `witnesses`, append the row bases of every indecomposable
-    submodule whose measure extends to M's.  A decomposable M has a
-    measure that stops short of its length, so it has none, and a memo hit
-    scans nothing for it.  `local` is `_local_radical(M)` when the caller
-    has it, as the submodule scan does; else End(M) is computed here only
-    when <dim M, dim M> = 1 asks whether M is a brick.
+    keeps one module per isomorphism class (see `_REP_MEMO`), or else from
+    one scan of the indecomposable proper submodules of M, whose measures
+    this computes in turn, and stored.  With a list `witnesses`, append the
+    row bases of every indecomposable submodule whose measure extends to
+    M's.  A decomposable M has a measure that stops short of its length,
+    so it has none, and a memo hit scans nothing for it.  `local` is
+    `_local_radical(M)` when the caller has it, as the submodule scan does.
 
     An entry also keeps the smallest budget its measure was computed
     under, and serves only a budget at least that large.  A smaller one
     computes afresh: refusal grows as the budget falls, so a call refuses
     exactly when it would in a fresh process."""
     n = sum(M.dims)
-    Q = M.quiver
-    rigid = tits_form(Q, M.dims) == 1 and (end_dim(M) if local is None else local[0]) == 1
-    key = (Q, M.field.q, M.dims) if rigid else _probe_signature(M)
-    entries = _REP_MEMO.get(key, ())
-    entry = next((e for e in entries if rigid or is_isomorphic(e[0], M, budget)), None)
+    key = (M.quiver, M.field.q, M.dims)
+    entry = next((e for e in _REP_MEMO.get(key, ()) if is_isomorphic(e[0], M, budget)), None)
     measure = entry[1] if entry is not None and entry[2] <= budget else None
     if measure is not None and (witnesses is None or measure[-1] != n):
         return measure
@@ -331,7 +306,7 @@ def _rep_measure(M: Rep, budget: int, witnesses: list | None = None,
                 subs.append((spaces, _rep_measure(U, budget, local=local_U)))
     if measure is None:
         best = max_measure(m for _, m in subs) if subs else ()
-        if rigid or (local or _local_radical(M, budget))[1] is not None:
+        if (local or _local_radical(M, budget))[1] is not None:
             measure = best + (n,)
         elif not best:
             raise InternalInconsistencyError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,12 @@ from .quiver import Quiver, admissible_sink_order, euler_form, opposite, tits_fo
 
 @dataclass(eq=False)
 class Rep:
+    """A representation: one space GF(q)^dims[j] per vertex and one matrix
+    per arrow.  A module's matrices are never written after it is built,
+    so whatever is read off them may be kept with the module: dim End(M)
+    (`end_dim`), and the memos `functors._translate`, `gr._root_module` and
+    `homreg.sink_family` rely on it too."""
+
     quiver: Quiver
     field: Field
     dims: tuple[int, ...]
@@ -63,6 +69,10 @@ class Rep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @cached_property
+    def _end_dim(self) -> int:
+        return hom_dim(self, self)
 
 
 def simple_rep(Q: Quiver, F: Field, i: int) -> Rep:
@@ -229,7 +239,8 @@ def ext1_dim(M: Rep, N: Rep) -> int:
 
 
 def end_dim(M: Rep) -> int:
-    return hom_dim(M, M)
+    """dim End(M), from one Hom system per module object, kept on M."""
+    return M._end_dim
 
 
 def is_brick(M: Rep) -> bool:

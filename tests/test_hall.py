@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamehall import hall, homreg
+from tamehall import hall, homreg, reps
 from tamehall.errors import (
     InternalInconsistencyError,
     InvalidInputError,
@@ -107,6 +107,19 @@ def test_generic_hall_number_rejects_mixed_fields():
     S1 = simple_rep(Q, field(3), 1)
     with pytest.raises(InvalidInputError):
         hall_number(P, S0, S1)
+
+
+def test_generic_hall_number_builds_end_of_the_fixed_modules_once(monkeypatch):
+    # R is a rigid brick: every subrep of dimension dim R and its quotient
+    # are compared with R through dim End, which is kept on R
+    R = build_preinjective(D4, field(3), (0, 1, 1, 1, 1))
+    ends = []
+    system = reps._hom_system
+    monkeypatch.setattr(reps, "_hom_system",
+                        lambda M, N: ends.append(M is R and N is R) or system(M, N))
+    # the q + 1 lines of Hom(R, R + R), each with quotient R
+    assert hall_number(direct_sum(R, R), R, R) == 4
+    assert sum(ends) <= 1 and len(ends) > 2
 
 
 # ---------------------------------------------------------- one-sink counts

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from tamehall import gf
+from tamehall import gf, reps
 from tamehall.errors import InfeasibleEnumerationError, InvalidInputError
 from tamehall.functors import build_preinjective, build_preprojective, reflect_minus
 from tamehall.gf import enumerate_subspaces, field, rank
@@ -24,6 +24,7 @@ from tamehall.quiver import (
 from tamehall.reps import (
     Rep,
     direct_sum,
+    dual,
     end_dim,
     enumerate_subreps,
     ext1_dim,
@@ -351,6 +352,19 @@ def test_brick_detection():
     assert is_brick(simple_rep(K, F, 0))
     assert not is_brick(direct_sum(simple_rep(K, F, 0), simple_rep(K, F, 0)))
     assert end_dim(direct_sum(r_lambda(F, 1), r_lambda(F, 1))) == 4
+
+
+def test_end_dim_builds_one_hom_system_per_module_object(monkeypatch):
+    systems = []
+    system = reps._hom_system
+    monkeypatch.setattr(reps, "_hom_system", lambda M, N: systems.append((M, N)) or system(M, N))
+    M = direct_sum(r_lambda(field(3), 1), simple_rep(K, field(3), 0))
+    assert end_dim(M) == end_dim(M) == 3
+    assert systems == [(M, M)]
+    # a module that shares M's arrays, and its dual, are other objects
+    N, D = Rep(M.quiver, M.field, M.dims, M.mats), dual(M)
+    assert end_dim(N) == end_dim(D) == 3
+    assert systems == [(M, M), (N, N), (D, D)]
 
 
 # ---------------------------------------------------------------- Ext and extensions

@@ -1,5 +1,5 @@
 """The rigid rule of `reps.is_isomorphic` against the scan alone, and the
-exhaustive GR memo that keys rigid bricks by their dimension vector.
+exhaustive GR memo, keyed by dimension vector alone.
 
 Two modules of dimension vector x with <x, x> >= 1 and unequal End
 dimensions are not isomorphic, and two with dim End = <x, x> are rigid and
@@ -29,7 +29,6 @@ from tamehall.reps import (
     Rep,
     direct_sum,
     end_dim,
-    ext1_dim,
     is_isomorphic,
     projective_rep,
     simple_rep,
@@ -160,8 +159,8 @@ def test_rigid_rule_matches_the_scan_on_fixed_pairs(q):
 
 # (q, dims, measure) of every entry the memo holds after the measures of
 # the D~4 preinjectives of length <= 7 over GF(2) and GF(3), one per
-# isomorphism class, as the probe-keyed memo stored them; GF(3) has one
-# more class of dimension delta than GF(2)
+# isomorphism class; GF(3) has one more class of dimension delta than
+# GF(2)
 _PREINJ_MEMO_BASE = [
     ((0, 0, 0, 0, 1), (1,)), ((0, 0, 0, 1, 0), (1,)), ((0, 0, 1, 0, 0), (1,)),
     ((0, 0, 1, 0, 1), (1, 2)), ((0, 0, 1, 1, 0), (1, 2)), ((0, 0, 1, 1, 1), (1, 2, 3)),
@@ -179,7 +178,7 @@ PREINJ_MEMO = sorted([(2, d, m) for d, m in _PREINJ_MEMO_BASE]
                      + [(3, d, m) for d, m in _PREINJ_MEMO_BASE + [((1, 1, 2, 1, 1), (1, 2, 5, 6))]])
 
 
-def test_exhaustive_memo_keeps_one_entry_per_class_and_keys_rigid_bricks_by_root(monkeypatch):
+def test_exhaustive_memo_keys_each_class_by_its_dimension_vector(monkeypatch):
     monkeypatch.setattr(gr, "_REP_MEMO", {})
     box = tuple(2 * d for d in radical_delta(D4))
     roots = [x for x in positive_real_roots(D4, box) if defect(D4, x) > 0 and sum(x) <= 7]
@@ -192,11 +191,10 @@ def test_exhaustive_memo_keeps_one_entry_per_class_and_keys_rigid_bricks_by_root
     for i, (_, X, _) in enumerate(entries):
         for _, Y, _ in entries[i + 1:]:
             assert not is_isomorphic_by_scan(X, Y)
-    by_root = 0
     for key, X, _ in entries:
-        rigid_brick = tits_form(X.quiver, X.dims) == 1 and end_dim(X) == 1
-        assert (key == (X.quiver, X.field.q, X.dims)) == rigid_brick
-        if rigid_brick:
-            by_root += 1
-            assert len(gr._REP_MEMO[key]) == 1 and ext1_dim(X, X) == 0
-    assert by_root
+        assert key == (X.quiver, X.field.q, X.dims)
+    # a real root names at most one brick, the rigid one; delta, with
+    # <delta, delta> = 0, names several
+    bricks = {key: sum(1 for X, _, _ in es if end_dim(X) == 1) for key, es in gr._REP_MEMO.items()}
+    assert all(n <= 1 for (Q, _, x), n in bricks.items() if tits_form(Q, x) == 1)
+    assert max(n for (_, _, x), n in bricks.items() if x == radical_delta(D4)) > 1
