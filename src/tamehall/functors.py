@@ -99,72 +99,48 @@ def _walk(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
 def _translate(Q: Quiver, F: Field, j: int, r: int) -> Rep:
     """tau^r I_j, one tau from tau^(r-1) I_j, so the modules along an
     orbit cost one tau each however many roots read them.  The modules
-    are shared between callers, as the matrices of `_signed_form` are, so
-    no caller may write to them."""
+    are shared between callers, so no caller may write to them."""
     return injective_rep(Q, F, j) if r == 0 else tau(_translate(Q, F, j, r - 1))
 
 
 @lru_cache(maxsize=None)
-def _signed_form(Q: Quiver, x: tuple[int, ...], kind: str) -> tuple[np.ndarray, ...]:
-    """Arrow matrices of the GF(3) walk to x, with 2 read as -1, so that
-    they have entries in {0, 1, -1} and make sense over every field.
-    Read-only, since every caller shares them."""
-    mats = []
-    for A in _walk(Q, field(3), x, kind).mats:
-        S = np.where(A == 2, -1, A)
-        S.setflags(write=False)
-        mats.append(S)
-    return tuple(mats)
+def _preinjective(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
+    """Indecomposable with preinjective real root x of Q, built once per
+    (Q, F, x) and shared, so its arrays are made read-only.
 
-
-def _lift(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
-    """The signed form of x mapped into F: -1 becomes the label of -1."""
-    minus_one = F.neg(1)
-    return Rep(Q, F, x, tuple(np.where(S < 0, minus_one, S) for S in _signed_form(Q, x, kind)))
-
-
-@lru_cache(maxsize=None)
-def _lift_is_brick(Q: Quiver, x: tuple[int, ...], kind: str, p: int) -> bool:
-    """Whether the lift of x into GF(p^k) is a brick, for every k.
-
-    The lift has entries 0, 1 and p - 1, which are the labels of the
-    prime field GF(p) inside every GF(p^k), so its End system is one
-    matrix over GF(p) whatever k is; rank does not change under a field
-    extension, so dim End is the same over GF(p^k) as over GF(p).  At
-    p = 3 the lift is the GF(3) walk itself, whose module is
-    indecomposable preinjective, so a brick, and needs no check."""
-    return p == 3 or is_brick(_lift(Q, field(p), x, kind))
-
-
-def _preinjective(Q: Quiver, F: Field, x, kind: str) -> Rep:
-    """Indecomposable with preinjective real root x of Q.
-
-    The module is walked once per quiver over GF(3) and lifted into F,
-    since exceptional modules have bases with coefficients 0 and +-1
-    (Ringel, "Exceptional modules are tree modules", 1998).  The lift is
-    kept only if it is a brick in F, which `_lift_is_brick` decides once
-    per characteristic: a brick M whose dimension vector is a real root
-    has dim Ext^1(M, M) = dim End M - q(x) = 0, so it is the unique
-    indecomposable with that root.  Otherwise the walk runs over F
-    itself."""
-    x = tuple(int(v) for v in x)
+    Over GF(3) it is the walk.  Over any other field it is the GF(3)
+    module lifted into F, 2 read as -1, since exceptional modules have
+    bases with coefficients 0 and +-1 (Ringel, "Exceptional modules are
+    tree modules", 1998).  The lift is kept if it is a brick in F, which
+    holds at p = 3 as the lift is the GF(3) module read in GF(3^k): a
+    brick M whose dimension vector is a real root has
+    dim Ext^1(M, M) = dim End M - q(x) = 0, so it is the unique
+    indecomposable with that root.  Otherwise the walk runs over F."""
     if any(v < 0 for v in x) or not any(x):
         raise InvalidInputError("root must be positive")
     if tits_form(Q, x) != 1:
         raise InvalidInputError(f"{x} is not a real root")
     if is_affine(Q) and defect(Q, x) <= 0:
         raise InvalidInputError(f"{x} is not {kind}")
-    if _lift_is_brick(Q, x, kind, F.p):
-        return _lift(Q, F, x, kind)
-    return _walk(Q, F, x, kind)
+    if F.q == 3:
+        M = _walk(Q, F, x, kind)
+    else:
+        minus_one = F.neg(1)
+        M = Rep._built(Q, F, x, tuple(np.where(A == 2, minus_one, A)
+                                      for A in _preinjective(Q, field(3), x, kind).mats))
+        if F.p != 3 and not is_brick(M):
+            M = _walk(Q, F, x, kind)
+    for A in M.mats:
+        A.setflags(write=False)
+    return M
 
 
 def build_preprojective(Q: Quiver, F: Field, x) -> Rep:
     """Indecomposable with preprojective real root x: the dual of the
     preinjective of Q^op with root x (D swaps the signs of the defect)."""
-    return dual(_preinjective(opposite(Q), F, x, "preprojective"))
+    return dual(_preinjective(opposite(Q), F, tuple(int(v) for v in x), "preprojective"))
 
 
 def build_preinjective(Q: Quiver, F: Field, x) -> Rep:
     """Indecomposable with preinjective real root x."""
-    return _preinjective(Q, F, x, "preinjective")
+    return _preinjective(Q, F, tuple(int(v) for v in x), "preinjective")

@@ -37,16 +37,6 @@ from .errors import (DEFAULT_BUDGET, InfeasibleEnumerationError, InternalInconsi
 
 MAX_Q = 256
 
-# Fixed irreducible polynomials, ascending coefficients (constant term
-# first, leading coefficient last).  These are the lexicographically
-# smallest monic irreducibles in the label order used by _find_irreducible;
-# pinning them keeps element labels stable across versions.
-IRREDUCIBLE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),        # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
-    (3, 2): (1, 0, 1),        # x^2 + 1
-}
-
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
@@ -83,7 +73,8 @@ def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree k over GF(p), ordered by the
-    base-p encoding of the non-leading coefficients."""
+    base-p encoding of the non-leading coefficients.  It fixes the element
+    labels of GF(p^k), so the choice must not change."""
     for code in range(p**k):
         tail = []
         c = code
@@ -105,9 +96,8 @@ class Field:
     labels 0..q-1: a table does not reduce mod q, and a negative index
     wraps round silently.  `Rep.__post_init__` rejects modules from
     outside with other entries, and every other array in the package
-    holds labels it computed, except the signed GF(3) walk of
-    `functors._signed_form` (entries -1), which `functors._lift` maps
-    through `F.neg(1)` before it builds a module.
+    holds labels it computed; `functors._preinjective` maps the GF(3)
+    label 2 through `F.neg(1)` before it builds a module over F.
     """
 
     def __init__(self, q: int):
@@ -118,7 +108,7 @@ class Field:
         self.p = p
         self.degree = k
         self.is_prime = k == 1
-        self.poly = None if self.is_prime else IRREDUCIBLE_POLYS.get((p, k)) or _find_irreducible(p, k)
+        self.poly = None if self.is_prime else _find_irreducible(p, k)
         self._build_tables()
         # -a and 1/a sit where the row of a holds 0 and 1; 1/0 is left 0
         self._neg_table = (self._add_table == 0).argmax(axis=1)

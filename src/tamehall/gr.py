@@ -124,14 +124,9 @@ def starts_with(I, J) -> bool:
 # -- root-combinatorics engine -----------------------------------------
 
 @lru_cache(maxsize=None)
-def _root_module(Q: Quiver, F: Field, x: tuple[int, ...]) -> Rep:
-    return build_preprojective(Q, F, x)
-
-
-@lru_cache(maxsize=None)
 def _root_measure(Q: Quiver, F: Field, x: tuple[int, ...]) -> Measure:
     """Measure of the preprojective indecomposable with root x."""
-    return _measure_over_roots(_root_module(Q, F, x))
+    return _measure_over_roots(build_preprojective(Q, F, x))
 
 
 def _ranked_roots(M: Rep) -> list:
@@ -167,7 +162,7 @@ def _best_embeddings(M: Rep):
     for d, m in _ranked_roots(M):
         if target is not None and m != target:
             return
-        X = _root_module(Q, F, d)
+        X = build_preprojective(Q, F, d)
         for phi in injective_classes(F, X, hom_basis(X, M)):
             target = m
             yield m, phi

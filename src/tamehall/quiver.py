@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -286,12 +286,10 @@ def positive_real_roots(Q: Quiver, bound, budget: int = 5_000_000) -> list[DimVe
     bound = tuple(int(b) for b in bound)
     if len(bound) != Q.n or any(b < 0 for b in bound):
         raise InvalidInputError("bound must be a nonnegative vector of length n")
-    total = 1
-    for b in bound:
-        total *= b + 1
-        if total > budget:
-            raise InfeasibleEnumerationError(
-                f"box of size >{budget} in positive_real_roots", budget=budget)
+    total = prod(b + 1 for b in bound)
+    if total > budget:
+        raise InfeasibleEnumerationError(
+            f"box of size >{budget} in positive_real_roots", needed=total, budget=budget)
     grids = np.meshgrid(*[np.arange(b + 1) for b in bound], indexing="ij")
     X = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
     q = (X * X).sum(axis=1)
@@ -314,20 +312,16 @@ def _reflection_matrix(Q: Quiver, i: int) -> np.ndarray:
     return S
 
 
-def _sweep_matrix(Q: Quiver, order) -> np.ndarray:
-    """Product of the simple reflections along `order`, first one rightmost."""
+@lru_cache(maxsize=None)
+def coxeter_matrix(Q: Quiver) -> np.ndarray:
+    """Phi with dim tau(M) = Phi @ dim M: the product of the simple
+    reflections along the admissible sink order of Q, first one
+    rightmost."""
     Phi = np.eye(Q.n, dtype=np.int64)
-    for i in order:
+    for i in admissible_sink_order(Q):
         Phi = _reflection_matrix(Q, i) @ Phi
     Phi.setflags(write=False)
     return Phi
-
-
-@lru_cache(maxsize=None)
-def coxeter_matrix(Q: Quiver) -> np.ndarray:
-    """Phi with dim tau(M) = Phi @ dim M, built from the admissible sink
-    order of Q."""
-    return _sweep_matrix(Q, admissible_sink_order(Q))
 
 
 def coxeter_inverse(Q: Quiver) -> np.ndarray:

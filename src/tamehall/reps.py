@@ -29,7 +29,8 @@ class Rep:
     """A representation: one space GF(q)^dims[j] per vertex and one matrix
     per arrow.  A module's matrices are never written after it is built,
     so whatever is read off them may be kept with the module: dim End(M)
-    (`end_dim`), and the memos `functors._translate`, `gr._root_module` and
+    (`end_dim`), and the memos `functors._translate`,
+    `functors._preinjective` (whose arrays are read-only) and
     `homreg.sink_family` rely on it too."""
 
     quiver: Quiver
@@ -91,8 +92,12 @@ def dual(M: Rep) -> Rep:
     """The k-dual D M = Hom_k(M, k), a representation of Q^op: the same
     spaces (in the dual bases) and every arrow matrix transposed.  D is
     an involution, and it swaps sinks with sources, projectives with
-    injectives, and the plus and minus reflection functors."""
-    return Rep._built(opposite(M.quiver), M.field, M.dims, tuple(A.T for A in M.mats))
+    injectives, and the plus and minus reflection functors.  D M keeps
+    dim End(M) when M holds it, as End(D M) = End(M)^op."""
+    D = Rep._built(opposite(M.quiver), M.field, M.dims, tuple(A.T for A in M.mats))
+    if "_end_dim" in M.__dict__:
+        D._end_dim = M._end_dim
+    return D
 
 
 # -- projectives and injectives ----------------------------------------

@@ -1,16 +1,18 @@
 """The lifted constructors against the walk they replace, and the one-map
 translate test against the isomorphism scan and the brick test it absorbs.
 
-`build_preinjective` and `build_preprojective` build each module once per
-quiver over GF(3) and lift it into the target field, falling back to the
-Phi^-1 walk there when the lift is not a brick.  These tests compare the
-lift with the walk on generated quivers, roots and fields, force the
-fallback, and check that the table rows never need it.
+`build_preinjective` and `build_preprojective` keep one module per
+(quiver, field, root): the walk over GF(3), and over any other field that
+module lifted into the field, falling back to the Phi^-1 walk there when
+the lift is not a brick.  These tests compare the lift with the walk on
+generated quivers, roots and fields, force the fallback, and check that
+the table rows never need it.
 """
 
 from functools import lru_cache
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -109,37 +111,44 @@ def walks(monkeypatch):
     return calls
 
 
-def test_lift_that_is_no_brick_falls_back_to_the_walk(monkeypatch, walks):
+def test_lift_that_is_no_brick_falls_back_to_the_walk(monkeypatch, fresh_memo, walks):
     Q, F = preset_quiver("dtilde:4"), field(5)
     x = (1, 1, 1, 1, 1)                       # defect 1: preinjective, sincere
-    real = functors._signed_form(Q, x, "preinjective")
-    walks.clear()                             # the GF(3) walk behind `real`
-    # zero one arrow: the lift splits into two summands
-    monkeypatch.setattr(functors, "_signed_form", lambda *a: (real[0] * 0,) + real[1:])
-    # the brick verdicts are kept per characteristic: start from none, so
-    # that an earlier verdict on the real form is not read
-    monkeypatch.setattr(functors, "_lift_is_brick",
-                        lru_cache(maxsize=None)(functors._lift_is_brick.__wrapped__))
+    monkeypatch.setattr(functors, "is_brick", lambda M: False)
     M = build_preinjective(Q, F, x)
-    assert [w[1] for w in walks] == [F]
+    # the GF(3) walk the lift is read from, then the walk over F itself
+    assert [w[1] for w in walks] == [field(3), F]
     assert reps_equal(M, _walked(Q, F, x, "preinjective"))
 
 
-def test_signed_form_is_read_only():
-    Q = preset_quiver("e6tilde")
+def test_equal_arguments_give_the_same_module():
+    Q, F = preset_quiver("dtilde:4"), field(5)
+    x = (1, 1, 1, 1, 1)
+    M = build_preinjective(Q, F, x)
+    assert build_preinjective(Q, F, list(x)) is M
+    assert build_preinjective(Q, F, np.array(x)) is M
+    # a preprojective is a fresh dual of the one kept for Q^op
+    P, R = build_preprojective(opposite(Q), F, x), build_preprojective(opposite(Q), F, list(x))
+    assert P is not R
+    assert all(np.shares_memory(A, B) for A, B in zip(P.mats, R.mats))
+
+
+def test_built_modules_are_read_only():
+    Q = reorient_toward(preset_quiver("e6tilde"), 0)
     x = _minus_unit(radical_delta(Q), 0)
-    for S in functors._signed_form(reorient_toward(Q, 0), x, "preinjective"):
-        assert set(S.flat) <= {-1, 0, 1}
-        with pytest.raises(ValueError):
-            S[...] = 0
+    for q in (2, 3, 4, 5, 9):
+        F = field(q)
+        for M in (build_preinjective(Q, F, x), build_preprojective(opposite(Q), F, x)):
+            for A in M.mats:
+                assert set(A.flat) <= {0, 1, int(F.neg(1))}
+                with pytest.raises(ValueError):
+                    A[...] = 0
 
 
 @pytest.mark.parametrize("name", AFFINE)
-def test_table_rows_take_no_fallback(name, walks):
-    """Every preinjective a table row builds (the expected quotient I and
-    the one of `regular_pair`) lifts without the walk over its field: the
-    only walks are the GF(3) ones behind fresh signed forms."""
-    misses = functors._signed_form.cache_info().misses
+def test_table_rows_take_no_fallback(name, fresh_memo, walks):
+    """Every preinjective a table row builds lifts without the walk over
+    its field: the only walks are over GF(3), one per quiver and root."""
     Q = preset_quiver(name)
     delta = radical_delta(Q)
     for m in sorted(set(delta)):
@@ -150,26 +159,32 @@ def test_table_rows_take_no_fallback(name, walks):
             F = field(q)
             regular_pair(Qi, F)
             build_preinjective(Qi, F, _minus_unit(radical_delta(Qi), i))
-    assert len(walks) == functors._signed_form.cache_info().misses - misses
+    assert walks
     assert all(F.q == 3 for _, F, _, _ in walks)
+    assert len({(Q, x) for Q, _, x, _ in walks}) == len(walks)
 
 
 @pytest.mark.parametrize("name", AFFINE)
 def test_lift_brick_verdict_depends_on_the_characteristic_only(name):
     """The lift has prime-field entries, so its End system has the same
-    rank over GF(p^k) as over GF(p): on every preinjective a table row
-    builds, the verdict over GF(4), GF(8) and GF(9) is the one over GF(2)
-    and GF(3), and over GF(3) the lift is the GF(3) walk itself."""
+    rank over GF(p^k) as over GF(p).  On every preinjective a table row
+    builds the verdict is a brick in every field: over GF(2), GF(4), GF(8)
+    and GF(9) the module kept is the GF(3) walk with 2 read as -1, and
+    over GF(3) it is the walk itself."""
     Q = preset_quiver(name)
     delta = radical_delta(Q)
     for m in sorted(set(delta)):
         i = delta.index(m)
         Qi = reorient_toward(Q, i)
         for x in (_minus_unit(radical_delta(Qi), i), regular_pair(Qi, field(3))[1].dims):
-            lift = {q: functors._lift(Qi, field(q), x, "preinjective") for q in (2, 3, 4, 8, 9)}
-            assert is_brick(lift[4]) == is_brick(lift[8]) == is_brick(lift[2])
-            assert is_brick(lift[9]) == is_brick(lift[3])
-            assert reps_equal(lift[3], functors._walk(Qi, field(3), x, "preinjective"))
+            W = functors._walk(Qi, field(3), x, "preinjective")
+            assert reps_equal(build_preinjective(Qi, field(3), x), W)
+            for q in (2, 4, 8, 9):
+                F = field(q)
+                M = build_preinjective(Qi, F, x)
+                assert M.field is F and is_brick(M)
+                assert all(np.array_equal(A, np.where(B == 2, F.neg(1), B))
+                           for A, B in zip(M.mats, W.mats))
 
 
 def _brick_and_one_map(M):

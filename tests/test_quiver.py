@@ -338,8 +338,9 @@ def test_affine_roots_below_delta():
 
 
 def test_roots_budget_guard():
-    with pytest.raises(InfeasibleEnumerationError):
+    with pytest.raises(InfeasibleEnumerationError) as err:
         positive_real_roots(preset_quiver("e8tilde"), (50,) * 9, budget=10_000)
+    assert (err.value.needed, err.value.budget) == (51**9, 10_000)
 
 
 def test_roots_rejects_bad_bound():

@@ -194,10 +194,11 @@ def test_memoised_walk_equals_the_translate_loop():
                 assert same_bytes(functors._walk(Q, F, x, "preinjective"), tau_loop_walk(Q, F, x))
 
 
-def test_forced_fallback_equals_the_translate_loop(monkeypatch):
+def test_forced_fallback_equals_the_translate_loop(monkeypatch, fresh_memo):
     """With every lift refused, the constructors take the walk over the
-    target field itself."""
-    monkeypatch.setattr(functors, "_lift_is_brick", lambda *a: False)
+    target field itself; the memo is emptied around the test, so that no
+    module it builds outlives the patch."""
+    monkeypatch.setattr(functors, "is_brick", lambda M: False)
     rng = random.Random(187)
     for name in ("kronecker", "dtilde:4", "e6tilde"):
         for q in (2, 4, 5):
