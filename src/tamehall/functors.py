@@ -115,7 +115,13 @@ def _preinjective(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
     holds at p = 3 as the lift is the GF(3) module read in GF(3^k): a
     brick M whose dimension vector is a real root has
     dim Ext^1(M, M) = dim End M - q(x) = 0, so it is the unique
-    indecomposable with that root.  Otherwise the walk runs over F."""
+    indecomposable with that root.  Otherwise the walk runs over F.
+
+    Whichever way it is built, the module M is an indecomposable
+    preinjective, so a brick: it lies on no cycle of the directed
+    preinjective component (Ringel, LNM 1099, 2.4), so Hom(M, tau M) = 0,
+    Ext^1(M, M) = D Hom(M, tau M) = 0 and dim End M = q(x) = 1.  Each
+    module returned keeps that value for `reps.end_dim` and `reps.dual`."""
     if any(v < 0 for v in x) or not any(x):
         raise InvalidInputError("root must be positive")
     if tits_form(Q, x) != 1:
@@ -132,6 +138,7 @@ def _preinjective(Q: Quiver, F: Field, x: tuple[int, ...], kind: str) -> Rep:
             M = _walk(Q, F, x, kind)
     for A in M.mats:
         A.setflags(write=False)
+    M._end_dim = 1
     return M
 
 

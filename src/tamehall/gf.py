@@ -196,14 +196,8 @@ class Field:
             out = self._add_table[out, self._mul_table[:, B[k]][A[:, k]]]
         return out
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def zeros(self, *shape: int) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
-
-    def eye(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=np.int64)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.q == self.q

@@ -92,33 +92,11 @@ def measure_key(I) -> tuple[int, ...]:
     return tuple(int(k in s) for k in range(1, max(s, default=0) + 1))
 
 
-def compare_measures(I, J) -> str:
-    """Total order on measures: smaller when the smallest element of the
-    symmetric difference belongs to the other set."""
-    a, b = measure_key(as_measure(I)), measure_key(as_measure(J))
-    return "=" if a == b else "<" if a < b else ">"
-
-
-def measure_less(I, J) -> bool:
-    return compare_measures(I, J) == "<"
-
-
 def max_measure(measures) -> Measure:
     measures = [as_measure(m) for m in measures]
     if not measures:
         raise InvalidInputError("empty measure collection")
     return max(measures, key=measure_key)
-
-
-def starts_with(I, J) -> bool:
-    """True when J equals I or continues I using strictly larger elements."""
-    a, b = as_measure(I), as_measure(J)
-    if a == b:
-        return True
-    sa, sb = set(a), set(b)
-    if not sa < sb:
-        return False
-    return not a or max(a) < min(sb - sa)
 
 
 # -- root-combinatorics engine -----------------------------------------

@@ -10,7 +10,9 @@ top(I) = I / rad I is onto I, since rad I is spanned by arrow images and
 the arrow ideal of an acyclic quiver is nilpotent.  The fast path counts
 the complement: every class that misses top(I) at some vertex lies in
 the kernel of a small linear map, and it marks the points of those
-kernels instead of testing every class.
+kernels instead of testing every class.  The points of each group of
+kernels come from one `gf.scalar_class_images` call, whose block cap
+bounds how many of them are held at once.
 
 Counts sampled over several fields are interpolated into exact integer
 polynomials in q, with held-out fields used for verification: one
@@ -30,7 +32,6 @@ from .errors import (
 )
 from .functors import build_preinjective
 from .gf import (
-    Field,
     _factor_prime_power,
     batched_kernels,
     enumerate_subspaces,
@@ -72,11 +73,6 @@ PINNED_SINK_POLYNOMIALS: dict[int, tuple[int, ...]] = {
     5: (26, -37, 22, -7, 1),
     6: (-39, 62, -45, 22, -7, 1),
 }
-
-# Most point entries in one run of kernels of `_kernel_points`.  Wider
-# runs leave the product-set tables of `scalar_class_images` fewer rows
-# per prefix; 2^15 and 2^16 ran the e8tilde counts fastest of 2^12..2^17.
-_POINT_BLOCK_ENTRIES = 1 << 15
 
 # Fewest matrices M_{j,y} at a vertex for which `hall_number_sink_fast`
 # takes their kernels from one `batched_kernels` call rather than one
@@ -167,19 +163,6 @@ def _check_sink_instance(R: Rep, i: int) -> tuple[int, ...]:
     return delta
 
 
-def _kernel_points(F: Field, K: np.ndarray):
-    """Yield, in blocks of rows, the images c K[g] of every g and every
-    normalized c != 0 in GF(q)^f (first nonzero entry 1), for K of shape
-    (G, f, h) with f >= 1.  Runs of kernels set side by side, each with at
-    most _POINT_BLOCK_ENTRIES point entries or a single kernel, go through
-    one `scalar_class_images` call each."""
-    G, f, h = K.shape
-    step = max(1, _POINT_BLOCK_ENTRIES // (h * (F.q ** f - 1) // (F.q - 1)))
-    for g in range(0, G, step):
-        for block in scalar_class_images(F, K[g:g + step].transpose(1, 0, 2).reshape(f, -1)):
-            yield block.reshape(-1, h)
-
-
 def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     """Count lines L in R_i whose quotient R/L has a one-dimensional
     endomorphism ring; equivalently the Hall number F^R_{I S(i)} where I
@@ -217,9 +200,10 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
     combination a K whose first nonzero coefficient a_r is 1 then has its
     first nonzero entry, a 1, at the pivot column of row r, and distinct
     such a give distinct vectors; so the images a K over the normalized a
-    (first nonzero entry 1) in GF(q)^f, which `_kernel_points` lists for
-    a whole group at once, are the normalized representatives of the
-    classes in P(K), each once.  A one-row kernel is its own single
+    (first nonzero entry 1) in GF(q)^f are the normalized representatives
+    of the classes in P(K), each once.  One `scalar_class_images` call
+    lists them for a whole group, the kernels set side by side, in blocks
+    that its own entry cap bounds.  A one-row kernel is its own single
     point, and a kernel with f = 0 has none.  A normalized c is marked at
     its base-q code sum_k c_k q^(h-1-k), which is below 2 q^(h-1)
     because its first nonzero entry is 1; the marks count the union.
@@ -257,8 +241,10 @@ def hall_number_sink_fast(R: Rep, i: int, I_expected: Rep) -> int:
             if f == 1:
                 marked[K[:, 0] @ codes] = True
             elif f > 1:
-                for points in _kernel_points(F, K):
-                    marked[points @ codes] = True
+                # the images of the whole group at once: column g h + l of
+                # the f x (G h) stack is entry l of kernel g
+                for block in scalar_class_images(F, K.transpose(1, 0, 2).reshape(f, -1)):
+                    marked[block.reshape(-1, h) @ codes] = True
     return (q ** h - 1) // (q - 1) - int(np.count_nonzero(marked))
 
 

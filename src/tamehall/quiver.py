@@ -73,9 +73,6 @@ class Quiver:
     def sinks(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.is_sink(v))
 
-    def sources(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.is_source(v))
-
     def underlying_edges(self) -> tuple[tuple[int, int], ...]:
         """Undirected edge multiset, endpoints sorted."""
         return tuple(tuple(sorted((s, t))) for s, t in self.arrows)

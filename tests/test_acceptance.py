@@ -24,14 +24,11 @@ from tamehall.functors import (
 from tamehall.gf import enumerate_subspaces, field, gaussian_binomial
 from tamehall.gr import (
     _root_measure,
-    compare_measures,
     count_submodules_report,
     gr_measure,
     gr_submodules,
     is_indecomposable,
     max_measure,
-    measure_less,
-    starts_with,
     verify_main_theorem,
 )
 from tamehall.hall import (
@@ -74,6 +71,8 @@ from tamehall.reps import (
     simple_rep,
     sub_rep,
 )
+
+from measure_helpers import compare_measures, measure_less, starts_with
 
 D4 = preset_quiver("dtilde:4")
 D4_SINK = 2

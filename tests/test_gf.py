@@ -53,7 +53,7 @@ def _subspace_count_oracle(n: int, d: int, q: int) -> int:
 @pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_field_axioms_exhaustive(q):
     F = field(q)
-    els = list(F.elements())
+    els = list(range(F.q))
     for a, b in itertools.product(els, repeat=2):
         assert F.add(a, b) == F.add(b, a)
         assert F.mul(a, b) == F.mul(b, a)
@@ -258,7 +258,7 @@ def test_quotient_map_exactness():
             proj, sec = quotient_map(F, B, n)
             assert proj.shape == (n - r, n) and sec.shape == (n, n - r)
             # section splits the projection, and the subspace is the kernel
-            assert np.array_equal(F.matmul(proj, sec), F.eye(n - r))
+            assert np.array_equal(F.matmul(proj, sec), np.eye(n - r, dtype=np.int64))
             if r:
                 assert not F.matmul(proj, B.T).any()
             assert rank(F, proj) == n - r

@@ -451,29 +451,34 @@ def _per_vertex_count(R, I):
 
 @pytest.mark.parametrize("q", (8, 9))
 def test_sink_count_matches_the_per_vertex_loop_in_small_blocks(q, monkeypatch):
-    """e8tilde m = 5 (h = 5): with both block caps at 2,048 entries, the
-    points of the kernels K_{j,y} of the complement count (rows of length
-    5) are listed one kernel at a time once a kernel has more than 204
-    points, in blocks of at most 409 rows, a product-set table of 64 or
-    81 rows plus one prefix each; so a kernel of four rows, with 585
-    (q = 8) or 820 (q = 9) points, lists them in several blocks."""
+    """e8tilde m = 5 (h = 5): with the block cap of `scalar_class_images`
+    at 2,048 entries, the points of a group of kernels K_{j,y} of the
+    complement count (rows of length 5, the group's kernels side by side)
+    come in blocks of at most 2,048 entries, or of one class when a row is
+    wider.  A single kernel of four rows, with 585 (q = 8) or 820 (q = 9)
+    points, then lists them in 11 or 12 blocks of up to 64 or 81 rows."""
     Q = preset_quiver("e8tilde")
     i = radical_delta(Q).index(5)
     Qi, F = reorient_toward(Q, i), field(q)
     R = next(homogeneous_simples(Qi, F))[1]
     I = build_preinjective(Qi, F, _minus_unit(radical_delta(Qi), i))
     whole = hall_number_sink_fast(R, i, I)
+    h = radical_delta(Qi)[i]
+    # the shapes of the stacks whose classes y a vertex with t_j >= 2 lists;
+    # a call of such a shape is left out, so only groups of kernels count
+    stacks = {(p.shape[0], h * R.dims[j]) for j, p in enumerate(top_projection(I))
+              if p.shape[0] > 1}
     monkeypatch.setattr(gf, "_IMAGE_BLOCK_ENTRIES", 2048)
-    monkeypatch.setattr(hall, "_POINT_BLOCK_ENTRIES", 2048)
     split = []  # (kernels, blocks) of every group whose points were listed
-    real = hall._kernel_points
+    real = hall.scalar_class_images
 
-    def counting(F, K):
-        blocks = list(real(F, K))
-        assert all(block.size <= 2048 for block in blocks)
-        split.append((K.shape[0], len(blocks)))
+    def counting(F, S):
+        blocks = list(real(F, S))
+        assert all(block.size <= max(2048, S.shape[1]) for block in blocks)
+        if S.shape not in stacks:
+            split.append((S.shape[1] // h, len(blocks)))
         yield from blocks
 
-    monkeypatch.setattr(hall, "_kernel_points", counting)
+    monkeypatch.setattr(hall, "scalar_class_images", counting)
     assert hall_number_sink_fast(R, i, I) == whole == _per_vertex_count(R, I)
     assert any(blocks > kernels for kernels, blocks in split)

@@ -13,14 +13,11 @@ from tamehall.gr import (
     _rep_measure,
     _root_measure,
     as_measure,
-    compare_measures,
     count_submodules_report,
     gr_measure,
     gr_submodules,
     is_indecomposable,
     max_measure,
-    measure_less,
-    starts_with,
     verify_main_theorem,
 )
 from tamehall.homreg import build_homogeneous_simples
@@ -39,6 +36,7 @@ from tamehall.reps import (
     simple_rep,
 )
 
+from measure_helpers import compare_measures, measure_less, starts_with
 from rep_helpers import zero_rep
 
 K = preset_quiver("kronecker")

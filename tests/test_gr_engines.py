@@ -29,7 +29,6 @@ from tamehall.functors import build_preinjective, build_preprojective
 from tamehall.gf import field
 from tamehall.gr import (
     _rep_measure,
-    compare_measures,
     gr_measure,
     gr_submodules,
     is_indecomposable,
@@ -56,6 +55,8 @@ from tamehall.reps import (
     simple_rep,
     sub_rep,
 )
+
+from measure_helpers import compare_measures
 
 D4 = preset_quiver("dtilde:4")
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,

@@ -139,7 +139,7 @@ def kronecker_centralizers(draw):
     F = field(draw(st.sampled_from(FIELDS)))
     n = draw(st.integers(2, 3))
     A = _entries(draw).integers(0, F.q, size=(n, n))
-    mats = (F.eye(n), A) if draw(st.booleans()) else (A, F.eye(n))
+    mats = (np.eye(n, dtype=np.int64), A) if draw(st.booleans()) else (A, np.eye(n, dtype=np.int64))
     return Rep(_orientation(draw, "kronecker"), F, (n, n), mats)
 
 

@@ -164,7 +164,7 @@ def test_top_projection_of_projectives_simples_and_injectives(q):
             assert _check_top_projection(projective_rep(Q, F, j)) == e_j
             S = simple_rep(Q, F, j)
             assert _check_top_projection(S) == e_j
-            assert np.array_equal(top_projection(S)[j], F.eye(1))
+            assert np.array_equal(top_projection(S)[j], np.eye(1, dtype=np.int64))
             # every arrow into k maps onto I_k, so the top of I is I_k at the
             # sources k and 0 elsewhere
             I = injective_rep(Q, F, j)
@@ -507,7 +507,7 @@ def test_injective_classes_checks_budget_before_work():
 def test_sub_and_quotient_of_regular_module():
     F = field(3)
     M = r_lambda(F, 2)
-    spaces = (F.zeros(0, 1), F.eye(1))
+    spaces = (F.zeros(0, 1), np.eye(1, dtype=np.int64))
     S = sub_rep(M, spaces)
     assert S.dims == (0, 1)
     Qt = quotient_rep(M, spaces)
@@ -519,7 +519,7 @@ def test_sub_and_quotient_of_regular_module():
 def test_sub_rep_rejects_non_invariant_spaces():
     F = field(3)
     M = r_lambda(F, 1)
-    bad = (F.eye(1), F.zeros(0, 1))  # image of vertex 0 not inside
+    bad = (np.eye(1, dtype=np.int64), F.zeros(0, 1))  # image of vertex 0 not inside
     assert not is_subrep(M, bad)
     with pytest.raises(InvalidInputError):
         sub_rep(M, bad)

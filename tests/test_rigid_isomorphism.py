@@ -78,14 +78,14 @@ def _invertible(draw, F, d):
     """g = P L D U with P a permutation, L and U unitriangular and D an
     invertible diagonal, with its inverse read off the reduced [g | 1]."""
     entry = st.integers(0, F.q - 1)
-    L, U = F.eye(d), F.eye(d)
+    L, U = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
     for i in range(d):
         for j in range(i):
             L[i, j], U[j, i] = draw(entry), draw(entry)
     D = np.diag(np.array([draw(st.integers(1, F.q - 1)) for _ in range(d)], dtype=np.int64))
-    P = F.eye(d)[list(draw(st.permutations(range(d))))]
+    P = np.eye(d, dtype=np.int64)[list(draw(st.permutations(range(d))))]
     g = F.matmul(F.matmul(P, L), F.matmul(D, U))
-    R, _ = rref(F, np.hstack([g, F.eye(d)]))
+    R, _ = rref(F, np.hstack([g, np.eye(d, dtype=np.int64)]))
     return g, R[:, d:]
 
 

@@ -2,7 +2,8 @@
 the classes of P^{h-1} minus the points of the kernels K_{j,y}) against
 the scan of every class it replaced (`count_oracles.sink_count_by_classes`),
 on every sink row of the seven affine presets, on both homogeneous
-modules `sink_family` yields, and on the e8tilde rows at q = 9.  The
+modules `sink_family` yields, on the e8tilde rows at q = 9, and with
+blocks of points far below the default block cap.  The
 scan's batched rank test is left to the oracle: inside the package only
 `gf`, which defines it, names `batched_full_row_rank`."""
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import tamehall
-from tamehall import hall
+from tamehall import gf, hall
 from tamehall.functors import build_preinjective
 from tamehall.gf import field
 from tamehall.homreg import sink_family
@@ -78,6 +79,21 @@ def test_complement_count_matches_the_class_scan_on_e8tilde_at_q9(monkeypatch):
     sizes = single + batched
     assert sizes[0] and sizes[1] and sizes[2]
     assert single and batched
+
+
+@pytest.mark.parametrize("cap", (1 << 17, 7, 40, 300))
+def test_complement_count_under_any_block_cap(cap, monkeypatch):
+    """The points of a group of kernels come from one `scalar_class_images`
+    call, and its cap `gf._IMAGE_BLOCK_ENTRIES` alone bounds their blocks.
+    At 7, 40 and 300 entries the points of a single kernel of two or more
+    rows (h entries each) overrun a block.  On every sink row of the seven
+    presets at q = 3, 4, 5, 7 the count under the cap equals the class
+    scan run at the default one."""
+    cases = [(R, i, I, sink_count_by_classes(R, I))
+             for name in AFFINE_PRESETS for q in (3, 4, 5, 7)
+             for R, i, I in _instances(name, q)]
+    monkeypatch.setattr(gf, "_IMAGE_BLOCK_ENTRIES", cap)
+    assert [hall.hall_number_sink_fast(R, i, I) for R, i, I, _ in cases] == [n for *_, n in cases]
 
 
 def _names(tree, name):
